@@ -1,12 +1,11 @@
 // Experiment E11: the Section 7.3 monotone-monoid extension in practice.
 //
 // Max(x + z) over the Cartesian product Q(x, z) <- R(x), T(z): τ is not
-// localized on any atom, so the localized engines cannot run; the paper's
-// Section 7.3 argument (implemented in min_max_monoid) makes it polynomial
-// anyway. The table contrasts the monoid engine with brute force, shows
-// the engine scaling far beyond the enumeration horizon, and measures the
-// all-facts batched scorer (MinMaxMonoidScoreAll) against the per-fact
-// sweep it replaces.
+// localized on any atom, yet the paper's Section 7.3 argument (the monoid
+// fold in the Min/Max DP, shapley/min_max.h) makes it polynomial anyway.
+// The table contrasts the DP with brute force, shows it scaling far
+// beyond the enumeration horizon, and measures the all-facts batched
+// scorer (MinMaxScoreAll) against the per-fact sweep it replaces.
 
 #include <cstdio>
 #include <utility>
@@ -18,7 +17,7 @@
 #include "shapcq/data/database.h"
 #include "shapcq/query/parser.h"
 #include "shapcq/shapley/brute_force.h"
-#include "shapcq/shapley/min_max_monoid.h"
+#include "shapcq/shapley/min_max.h"
 #include "shapcq/shapley/score.h"
 #include "shapcq/shapley/solver_options.h"
 
@@ -45,10 +44,6 @@ int main(int argc, char** argv) {
   ConjunctiveQuery q = MustParseQuery("Q(x, z) <- R(i, x), T(j, z)");
   AggregateQuery reference{q, MakeMonoidTau(MonoidKind::kPlus, {0, 1}),
                            AggregateFunction::Max()};
-  SumKEngine engine = [&q](const AggregateQuery&, const Database& d,
-                           const SolverOptions&) {
-    return MonoidMinMaxSumK(q, MonoidKind::kPlus, {0, 1}, /*is_max=*/true, d);
-  };
   std::printf("%6s %10s %18s %18s %10s\n", "n/side", "players",
               "monoid DP (ms)", "brute force (ms)", "agree");
   bench::Rule();
@@ -59,7 +54,7 @@ int main(int argc, char** argv) {
     FactId probe = db.EndogenousFacts().front();
     Rational dp_value, bf_value;
     double dp_ms = bench::TimeMs(
-        [&] { dp_value = *ScoreViaSumK(reference, db, probe, engine); });
+        [&] { dp_value = *ScoreViaSumK(reference, db, probe, MinMaxSumK); });
     double bf_ms = bench::TimeMs(
         [&] { bf_value = *BruteForceScore(reference, db, probe); });
     std::printf("%6d %10d %18.2f %18.2f %10s\n", n, db.num_endogenous(),
@@ -80,7 +75,7 @@ int main(int argc, char** argv) {
     Database db = MakeDb(n);
     FactId probe = db.EndogenousFacts().front();
     double dp_ms = bench::TimeMs([&] {
-      auto r = ScoreViaSumK(reference, db, probe, engine);
+      auto r = ScoreViaSumK(reference, db, probe, MinMaxSumK);
       if (!r.ok()) std::abort();
     });
     std::printf("%6d %10d %18.2f %18s\n", n, db.num_endogenous(), dp_ms,
@@ -91,7 +86,7 @@ int main(int argc, char** argv) {
         .Num("monoid_dp_ms", dp_ms)
         .Emit();
   }
-  std::printf("all-facts attribution: batched MinMaxMonoidScoreAll vs the "
+  std::printf("all-facts attribution: batched MinMaxScoreAll vs the "
               "per-fact sweep\n");
   bench::Rule();
   std::printf("%6s %10s %18s %18s %9s %10s\n", "n/side", "players",
@@ -106,18 +101,16 @@ int main(int argc, char** argv) {
     per_fact.reserve(facts.size());
     double per_fact_ms = bench::TimeMs([&] {
       for (FactId fact : facts) {
-        auto score = ScoreViaSumK(reference, db, fact, engine);
+        auto score = ScoreViaSumK(reference, db, fact, MinMaxSumK);
         if (!score.ok()) std::abort();
         per_fact.emplace_back(fact, std::move(score).value());
       }
     });
-    // Batched: this cross-product workload takes the pushed-functional
-    // fast path (one leave-one-out DP pass, then per-fact BigInt dot
-    // products) — the speedup is purely algorithmic, no threads involved.
+    // Batched: one leave-one-out DP pass, then per-fact series assembly —
+    // the speedup is purely algorithmic, no threads involved.
     std::vector<std::pair<FactId, Rational>> batched;
     double batched_ms = bench::TimeMs([&] {
-      auto scores = MinMaxMonoidScoreAll(q, MonoidKind::kPlus, {0, 1},
-                                         /*is_max=*/true, db);
+      auto scores = MinMaxScoreAll(reference, db);
       if (!scores.ok()) std::abort();
       batched = std::move(scores).value();
     });

@@ -23,6 +23,7 @@
 //
 // Aggregates: sum count cdist min max avg median qnt:<a>/<b> dup
 // Value functions: id:<i>  relu:<i>  gt:<i>:<b>  const:<c>   (i is 1-based)
+//                  plus:<i>,<j>,...  maxof:<i>,...  minof:<i>,...
 //
 // Prints the classification of the query, the tractability verdict, the
 // attribution of every endogenous fact, and a plan-provenance footer.

@@ -13,8 +13,9 @@
 //
 //   Q2(wc, wt) <- CargoW(wc), TruckW(wt)        (any cargo on any truck)
 //
-// Max(wc + wt) is computed exactly in polynomial time by the monoid engine,
-// which this example also demonstrates (validated against brute force).
+// Max(wc + wt) is computed exactly in polynomial time by the Min/Max
+// engine, which this example also demonstrates (validated against brute
+// force).
 
 #include <cstdio>
 
@@ -23,8 +24,6 @@
 #include "shapcq/data/database.h"
 #include "shapcq/query/parser.h"
 #include "shapcq/shapley/brute_force.h"
-#include "shapcq/shapley/min_max_monoid.h"
-#include "shapcq/shapley/score.h"
 #include "shapcq/shapley/solver.h"
 
 using namespace shapcq;  // NOLINT: example brevity
@@ -77,22 +76,23 @@ int main() {
   }
   ConjunctiveQuery q2 = MustParseQuery("Q2(wc, wt) <- CargoW(wc), TruckW(wt)");
   std::printf("  Max o (wc+wt) o %s\n", q2.ToString().c_str());
-  SumKEngine monoid_engine = [&q2](const AggregateQuery&, const Database& d,
-                                   const SolverOptions&) {
-    return MonoidMinMaxSumK(q2, MonoidKind::kPlus, {0, 1}, /*is_max=*/true, d);
-  };
   AggregateQuery a2{q2, MakeMonoidTau(MonoidKind::kPlus, {0, 1}),
                     AggregateFunction::Max()};
-  std::printf("  %-20s %16s %16s\n", "fact", "monoid engine",
-              "brute force");
-  for (FactId f : fleet.EndogenousFacts()) {
-    auto exact = ScoreViaSumK(a2, fleet, f, monoid_engine);
-    auto brute = BruteForceScore(a2, fleet, f);
-    std::printf("  %-20s %16.4f %16.4f%s\n",
-                fleet.fact(f).ToString().c_str(), exact->ToDouble(),
-                brute->ToDouble(), *exact == *brute ? "" : "  MISMATCH");
+  auto fleet_scores = ShapleySolver(a2).ComputeAll(fleet);
+  if (!fleet_scores.ok()) {
+    std::fprintf(stderr, "error: %s\n",
+                 fleet_scores.status().ToString().c_str());
+    return 1;
   }
-  std::printf("\nThe monoid engine runs in polynomial time; brute force is "
+  std::printf("  %-20s %16s %16s\n", "fact", "exact engine", "brute force");
+  for (const auto& [f, result] : *fleet_scores) {
+    auto brute = BruteForceScore(a2, fleet, f);
+    std::printf("  %-20s %16.4f %16.4f   [%s]%s\n",
+                fleet.fact(f).ToString().c_str(), result.approximation,
+                brute->ToDouble(), result.algorithm.c_str(),
+                result.exact == *brute ? "" : "  MISMATCH");
+  }
+  std::printf("\nThe Min/Max engine runs in polynomial time; brute force is "
               "shown only to confirm the values at this toy size.\n");
   return 0;
 }

@@ -59,6 +59,13 @@ StatusOr<ValueFunctionPtr> ParseTauSpec(const std::string& text) {
     if (!c.ok()) return c.status();
     return MakeConstantTau(*c);
   }
+  for (const std::string name : {"plus", "maxof", "minof"}) {
+    if (text.rfind(name + ":", 0) == 0) {
+      // The text form of the canonical monoid token tau_<name>^<i>,<j>,...
+      return ParseCanonicalTauToken("tau_" + name + "^" +
+                                    text.substr(name.size() + 1));
+    }
+  }
   return InvalidArgumentError("unknown value function: " + text);
 }
 

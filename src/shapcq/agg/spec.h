@@ -7,6 +7,8 @@
 //
 //   aggregates      : sum count cdist min max avg median qnt:<a>/<b> dup
 //   value functions : id:<i>  relu:<i>  gt:<i>:<b>  const:<c>   (1-based i)
+//                     plus:<i>,<j>,...  maxof:<i>,...  minof:<i>,...
+//                     (the Section 7.3 monoid folds t[i] ⊗ t[j] ⊗ ...)
 //
 // Only the parameter-derived τ constructors are reachable from text —
 // exactly the ones with canonical fingerprints, so every text-built
@@ -27,7 +29,7 @@ namespace shapcq {
 // anything else.
 StatusOr<AggregateFunction> ParseAggregateSpec(const std::string& text);
 
-// Parses a value-function spec ("id:2", "gt:1:40000", "const:1", ...).
+// Parses a value-function spec ("id:2", "gt:1:40000", "plus:1,2", ...).
 // Head indexes are 1-based in the text and 0-based in the constructors.
 StatusOr<ValueFunctionPtr> ParseTauSpec(const std::string& text);
 

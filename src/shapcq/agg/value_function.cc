@@ -109,6 +109,54 @@ class TauReLU : public ValueFunction {
   int head_index_;
 };
 
+// Token names of the monoids: tau_<name>^<positions>, and <name>:<positions>
+// in the text grammar (agg/spec.h).
+const char* MonoidName(MonoidKind kind) {
+  switch (kind) {
+    case MonoidKind::kPlus:
+      return "plus";
+    case MonoidKind::kMax:
+      return "maxof";
+    case MonoidKind::kMin:
+      return "minof";
+  }
+  SHAPCQ_UNREACHABLE();
+}
+
+class MonoidTau : public ValueFunction {
+ public:
+  MonoidTau(MonoidKind kind, std::vector<int> positions)
+      : kind_(kind), positions_(std::move(positions)) {
+    SHAPCQ_CHECK(!positions_.empty());
+    for (int position : positions_) SHAPCQ_CHECK(position >= 0);
+  }
+  Rational Evaluate(const Tuple& answer) const override {
+    Rational acc;
+    for (size_t i = 0; i < positions_.size(); ++i) {
+      SHAPCQ_CHECK(positions_[i] < static_cast<int>(answer.size()));
+      Rational value = answer[static_cast<size_t>(positions_[i])].AsRational();
+      acc = i == 0 ? std::move(value) : ApplyMonoid(kind_, acc, value);
+    }
+    return acc;
+  }
+  std::vector<int> DependsOn() const override { return positions_; }
+  std::optional<MonoidKind> monoid() const override { return kind_; }
+  std::string ToString() const override {
+    std::string out = std::string("tau_") + MonoidName(kind_) + "^";
+    for (size_t i = 0; i < positions_.size(); ++i) {
+      if (i > 0) out += ",";
+      out += std::to_string(positions_[i] + 1);
+    }
+    return out;
+  }
+  std::string FingerprintToken() const override { return ToString(); }
+  bool HasCanonicalFingerprint() const override { return true; }
+
+ private:
+  MonoidKind kind_;
+  std::vector<int> positions_;
+};
+
 class ComposedTau : public ValueFunction {
  public:
   ComposedTau(std::function<Rational(const Rational&)> gamma,
@@ -149,6 +197,18 @@ class CallbackTau : public ValueFunction {
 
 }  // namespace
 
+Rational ApplyMonoid(MonoidKind kind, const Rational& a, const Rational& b) {
+  switch (kind) {
+    case MonoidKind::kPlus:
+      return a + b;
+    case MonoidKind::kMax:
+      return a > b ? a : b;
+    case MonoidKind::kMin:
+      return a < b ? a : b;
+  }
+  SHAPCQ_UNREACHABLE();
+}
+
 ValueFunctionPtr MakeConstantTau(Rational c) {
   return std::make_shared<ConstantTau>(std::move(c));
 }
@@ -163,6 +223,10 @@ ValueFunctionPtr MakeTauGreaterThan(int head_index, Rational b) {
 
 ValueFunctionPtr MakeTauReLU(int head_index) {
   return std::make_shared<TauReLU>(head_index);
+}
+
+ValueFunctionPtr MakeMonoidTau(MonoidKind kind, std::vector<int> positions) {
+  return std::make_shared<MonoidTau>(kind, std::move(positions));
 }
 
 ValueFunctionPtr MakeComposedTau(
@@ -196,6 +260,19 @@ StatusOr<int> ParseHeadIndexSuffix(std::string_view digits) {
   }
   if (value < 1) return InvalidArgumentError("head index must be >= 1");
   return value - 1;
+}
+
+// Parses a non-empty comma-separated list of 1-based head indices.
+StatusOr<std::vector<int>> ParseHeadIndexList(std::string_view text) {
+  std::vector<int> positions;
+  while (true) {
+    const size_t comma = text.find(',');
+    StatusOr<int> index = ParseHeadIndexSuffix(text.substr(0, comma));
+    if (!index.ok()) return index.status();
+    positions.push_back(*index);
+    if (comma == std::string_view::npos) return positions;
+    text.remove_prefix(comma + 1);
+  }
 }
 
 }  // namespace
@@ -237,6 +314,15 @@ StatusOr<ValueFunctionPtr> ParseCanonicalTauToken(std::string_view token) {
     StatusOr<int> index = ParseHeadIndexSuffix(token.substr(caret + 1));
     if (!index.ok()) return index.status();
     return MakeTauGreaterThan(*index, std::move(b).value());
+  }
+  for (MonoidKind kind :
+       {MonoidKind::kPlus, MonoidKind::kMax, MonoidKind::kMin}) {
+    const std::string prefix = std::string("tau_") + MonoidName(kind) + "^";
+    if (token.substr(0, prefix.size()) != prefix) continue;
+    StatusOr<std::vector<int>> positions =
+        ParseHeadIndexList(token.substr(prefix.size()));
+    if (!positions.ok()) return positions.status();
+    return MakeMonoidTau(kind, std::move(positions).value());
   }
   return InvalidArgumentError("not a canonical tau token: " +
                               std::string(token));

@@ -11,6 +11,8 @@
 //   τ_id^i(t)   = t[i]
 //   τ_{>b}^i(t) = 1 if t[i] > b else 0
 //   τ_ReLU^i(t) = t[i] if t[i] > 0 else 0
+// plus the Section 7.3 monoid folds τ(t) = t[p1] ⊗ t[p2] ⊗ ... under a
+// monotone ⊗, which Min/Max can solve without localization.
 
 #ifndef SHAPCQ_AGG_VALUE_FUNCTION_H_
 #define SHAPCQ_AGG_VALUE_FUNCTION_H_
@@ -18,6 +20,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -27,6 +30,16 @@
 #include "shapcq/util/rational.h"
 
 namespace shapcq {
+
+// The monotone monoids of a fold τ (MakeMonoidTau).
+enum class MonoidKind {
+  kPlus,  // a ⊗ b = a + b
+  kMax,   // a ⊗ b = max(a, b)
+  kMin,   // a ⊗ b = min(a, b)
+};
+
+// a ⊗ b.
+Rational ApplyMonoid(MonoidKind kind, const Rational& a, const Rational& b);
 
 class ValueFunction {
  public:
@@ -45,17 +58,21 @@ class ValueFunction {
   // are guaranteed distinct values. Conservative default: false.
   virtual bool is_injective() const { return false; }
 
+  // The monoid of a fold τ (MakeMonoidTau), whose DependsOn() lists the
+  // folded positions; nullopt for every other value function.
+  virtual std::optional<MonoidKind> monoid() const { return std::nullopt; }
+
   virtual std::string ToString() const = 0;
 
   // Token used in plan fingerprints (shapley/plan.h). Contract: two value
   // functions with equal tokens must be semantically identical (same
   // Evaluate on every tuple, same DependsOn/is_injective), so a plan cached
-  // under one may serve the other. The built-ins (const, id, >b, ReLU)
-  // derive the token from their parameters; functions wrapping opaque
-  // callbacks (MakeComposedTau, MakeCallbackTau) keep the default, which
-  // appends a process-unique instance id — such taus never share cached
-  // plans, and the id (unlike a raw address) can never be reused by a
-  // later allocation.
+  // under one may serve the other. The built-ins (const, id, >b, ReLU,
+  // monoid folds) derive the token from their parameters; functions
+  // wrapping opaque callbacks (MakeComposedTau, MakeCallbackTau) keep the
+  // default, which appends a process-unique instance id — such taus never
+  // share cached plans, and the id (unlike a raw address) can never be
+  // reused by a later allocation.
   virtual std::string FingerprintToken() const;
 
   // True when FingerprintToken is derived purely from parameters (the
@@ -82,6 +99,9 @@ ValueFunctionPtr MakeTauId(int head_index);
 ValueFunctionPtr MakeTauGreaterThan(int head_index, Rational b);
 // τ_ReLU^i.
 ValueFunctionPtr MakeTauReLU(int head_index);
+// τ(t) = t[p1] ⊗ t[p2] ⊗ ... over the given head positions (non-empty;
+// the values must be numeric at evaluation time).
+ValueFunctionPtr MakeMonoidTau(MonoidKind kind, std::vector<int> positions);
 // γ ∘ τ for a user function γ (Theorem 7.1 experiments); `name` is used in
 // ToString.
 ValueFunctionPtr MakeComposedTau(std::function<Rational(const Rational&)> gamma,
@@ -94,6 +114,7 @@ ValueFunctionPtr MakeCallbackTau(std::function<Rational(const Tuple&)> fn,
 // Parses a canonical FingerprintToken back into its value function —
 // the inverse of FingerprintToken for the built-ins above:
 //   const(<rational>)   tau_id^<i>   tau_><b>^<i>   tau_ReLU^<i>
+//   tau_plus^<i>,<j>,...   tau_maxof^<i>,...   tau_minof^<i>,...
 // (head indices are 1-based in tokens, matching ToString). Tokens of
 // non-canonical taus (opaque callbacks) and malformed text fail with
 // INVALID_ARGUMENT. Used by the persisted-plan loader (persist/artifact.h)

@@ -1,5 +1,6 @@
 #include "shapcq/serve/protocol.h"
 
+#include <string>
 #include <utility>
 
 #include "shapcq/agg/spec.h"
@@ -183,6 +184,14 @@ StatusOr<AggregateQuery> BuildAggregateQuery(const SolveRequest& request) {
   if (!alpha.ok()) return alpha.status();
   StatusOr<ValueFunctionPtr> tau = ParseTauSpec(request.tau);
   if (!tau.ok()) return tau.status();
+  for (int position : (*tau)->DependsOn()) {
+    if (position >= query->arity()) {
+      return InvalidArgumentError("tau reads head position " +
+                                  std::to_string(position + 1) +
+                                  " of a query with " +
+                                  std::to_string(query->arity()));
+    }
+  }
   return AggregateQuery{std::move(query).value(), std::move(tau).value(),
                         std::move(alpha).value()};
 }

@@ -16,7 +16,7 @@ namespace shapcq {
 
 StatusOr<SumKSeries> CountDistinctSumK(const AggregateQuery& a,
                                        const Database& db,
-                                       const SolverOptions& options) {
+                                       const SolverOptions& /*options*/) {
   if (a.alpha.kind() != AggKind::kCountDistinct) {
     return UnsupportedError("CountDistinctSumK handles CountDistinct only");
   }

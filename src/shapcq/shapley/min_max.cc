@@ -1,19 +1,16 @@
 #include "shapcq/shapley/min_max.h"
 
-#include <algorithm>
 #include <map>
 #include <optional>
 #include <set>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "shapcq/agg/value_function.h"
 #include "shapcq/hierarchy/classification.h"
 #include "shapcq/query/decomposition.h"
-#include "shapcq/query/evaluator.h"
 #include "shapcq/shapley/dp_util.h"
 #include "shapcq/shapley/engine_registry.h"
 #include "shapcq/shapley/membership.h"
@@ -25,555 +22,486 @@ namespace shapcq {
 
 namespace {
 
-// The paper's P[Q', D'] for sub-problems containing the localization
-// relation: per anchor (τ-value, ascending), the per-size counts of subsets
-// whose maximum equals that anchor. Subsets with an empty answer set are
-// implicit: C(m, k) − Σ_anchors count.
+// The τ-value of an answer as far as a sub-problem determines it: the fold
+// of the τ-groups already bound, nullopt (the monoid identity) while none
+// is.
+using Key = std::optional<Rational>;
+
+// The paper's P[Q', D']: per attained key (ascending), the per-size counts
+// of subsets whose maximum over the answers equals that key. Every row has
+// length num_endogenous + 1 and is non-zero; subsets with an empty answer
+// set are implicit: C(m, k) − Σ rows.
 struct MaxStructure {
-  // by_anchor[i][k], every row has length num_endogenous + 1.
-  std::vector<std::vector<BigInt>> by_anchor;
+  std::map<Key, std::vector<BigInt>> rows;
   int num_endogenous = 0;
 };
 
 // The leave-one-out bundle of one sub-problem: the structure of the full
 // fact subset plus, for every endogenous fact f in it, the structure with
-// f exogenous (the paper's derived database F_f, one row narrower). Built
-// in one recursive pass: at each combine node the variants reuse the
-// prefix/suffix-combined siblings, so a fact's variant costs one combine
-// per ancestor instead of a full re-solve — this is what makes the
-// batched all-facts scorer asymptotically cheaper than the per-fact
-// sweep. Combines count subsets with exact integers, so any combine
-// grouping yields the identical structure. The trade-off is memory: all
-// n variants are resident at once (O(n² · anchors) BigInts at the top
-// node); streaming scores out as variants complete would cap that if
-// instances outgrow it.
+// f exogenous (the derived database F_f, one row narrower). At each
+// combine node a variant reuses the prefix/suffix-combined siblings, so it
+// costs one combine per ancestor instead of a full re-solve. Combines count
+// subsets with exact integers, so any grouping yields the identical
+// structure. All n variants are resident at once.
 struct MaxLOO {
   MaxStructure full;
   std::unordered_map<FactId, MaxStructure> minus;
 };
 
+// A part of τ whose value is known once its variables are bound: the
+// whole of a localized τ, or one position of a monoid fold.
+struct TauGroup {
+  std::vector<std::string> variables;
+  ValueFunctionPtr tau;
+};
+
+// What the gates decided: τ split into groups folded by `fold`, with every
+// group value negated for Min.
+struct MinMaxSetup {
+  std::vector<TauGroup> groups;
+  MonoidKind fold = MonoidKind::kMax;
+  bool negate = false;
+};
+
+Key Fold(MonoidKind kind, const Key& a, const Key& b) {
+  if (!a.has_value()) return b;
+  if (!b.has_value()) return a;
+  return ApplyMonoid(kind, *a, *b);
+}
+
+bool IsNonZero(const std::vector<BigInt>& row) {
+  for (const BigInt& v : row) {
+    if (!v.is_zero()) return true;
+  }
+  return false;
+}
+
+// Adds `pad` endogenous facts that never affect the answers.
+MaxStructure Pad(MaxStructure s, int pad, Combinatorics* comb) {
+  if (pad == 0) return s;
+  for (auto& [key, row] : s.rows) row = PadCounts(row, pad, comb);
+  s.num_endogenous += pad;
+  return s;
+}
+
+// Counts of the subsets whose answer set is empty.
+std::vector<BigInt> NoAnswerCounts(const MaxStructure& s, Combinatorics* comb) {
+  std::vector<BigInt> out = BinomialVector(s.num_endogenous, comb);
+  for (const auto& [key, row] : s.rows) {
+    for (size_t k = 0; k < out.size(); ++k) out[k] -= row[k];
+  }
+  return out;
+}
+
+void AddInto(std::vector<BigInt>& acc, const std::vector<BigInt>& add) {
+  for (size_t k = 0; k < add.size(); ++k) acc[k] += add[k];
+}
+
 class MaxSolver {
  public:
-  MaxSolver(const ConjunctiveQuery& original, const ValueFunction& tau,
-            const std::string& relation, std::vector<Rational> anchors,
+  // The group variables still unbound in a sub-problem.
+  using Scope = std::set<std::string>;
+
+  MaxSolver(const ConjunctiveQuery& q, const MinMaxSetup& setup,
             Combinatorics* comb)
-      : tau_(tau), relation_(relation), anchors_(std::move(anchors)),
-        comb_(comb), head_arity_(original.arity()) {
-    for (int position = 0; position < original.arity(); ++position) {
-      positions_of_head_var_[original.head()[static_cast<size_t>(position)]]
+      : setup_(setup), comb_(comb), head_arity_(q.arity()) {
+    for (int position = 0; position < q.arity(); ++position) {
+      positions_of_head_var_[q.head()[static_cast<size_t>(position)]]
           .push_back(position);
     }
-    depends_on_ = tau_.DependsOn();
+    for (size_t g = 0; g < setup_.groups.size(); ++g) {
+      for (const std::string& variable : setup_.groups[g].variables) {
+        groups_of_var_[variable].push_back(g);
+      }
+    }
   }
 
-  // Partial original-head assignment; nullopt = not yet bound.
-  using PartialHead = std::vector<std::optional<Value>>;
-
-  PartialHead EmptyHead() const {
-    return PartialHead(static_cast<size_t>(head_arity_));
-  }
-
-  MaxStructure Solve(const ConjunctiveQuery& q, const FactSubset& facts,
-                     const PartialHead& head) {
-    SHAPCQ_CHECK(AtomIndexOf(q, relation_) >= 0);
-    if (AllDependedBound(head)) return SolveValueFixed(q, facts, head);
-    std::vector<std::string> roots = RootVariables(q);
-    if (!roots.empty()) return SolveRoot(q, roots[0], facts, head);
-    std::vector<std::vector<int>> components = ConnectedComponents(q);
-    SHAPCQ_CHECK(components.size() > 1);
-    return SolveCrossProduct(q, components, facts, head);
-  }
-
-  // One pass computing the full structure and every endogenous fact's
-  // F-variant. `work` must be the (mutable) database all fact subsets
-  // point into; leaf variants are realized as transient flag flips on it.
-  // Every flag is restored before returning.
-  MaxLOO SolveLeaveOneOut(const ConjunctiveQuery& q, const FactSubset& facts,
-                          const PartialHead& head, Database* work) {
-    loo_db_ = work;
-    MaxLOO out = SolveLOO(q, facts, head);
+  // The structure of `facts` under q, plus every endogenous fact's
+  // F-variant when `loo_db` is set: it must be the mutable database the
+  // fact subsets point into, and leaf variants are transient flag flips on
+  // it (every flag is restored before returning).
+  MaxLOO SolveTop(const ConjunctiveQuery& q, const FactSubset& facts,
+                  Database* loo_db) {
+    loo_db_ = loo_db;
+    Scope scope;
+    Key acc;
+    const Tuple head(static_cast<size_t>(head_arity_), Value(0));
+    for (const TauGroup& group : setup_.groups) {
+      scope.insert(group.variables.begin(), group.variables.end());
+      if (group.variables.empty()) {
+        acc = Fold(setup_.fold, acc, GroupValue(group, head));
+      }
+    }
+    MaxLOO out = Solve(q, facts, scope, head, acc);
     loo_db_ = nullptr;
     return out;
   }
 
-  // Zero structure over zero facts (identity for combine_∪).
-  MaxStructure Empty() const {
-    MaxStructure s;
-    s.num_endogenous = 0;
-    s.by_anchor.assign(anchors_.size(), {BigInt(0)});
-    return s;
-  }
-
-  // Adds `pad` endogenous facts that never affect the answers.
-  MaxStructure Pad(MaxStructure s, int pad) const {
-    if (pad == 0) return s;
-    for (auto& row : s.by_anchor) row = PadCounts(row, pad, comb_);
-    s.num_endogenous += pad;
-    return s;
-  }
-
-  // combine_∪ (Appendix C): over disjoint sub-databases, the union's maximum
-  // is a iff both sides are ≤ a (or empty) and at least one side equals a.
-  MaxStructure CombineUnion(const MaxStructure& lhs,
-                            const MaxStructure& rhs) const {
-    MaxStructure out;
-    out.num_endogenous = lhs.num_endogenous + rhs.num_endogenous;
-    size_t num_anchors = anchors_.size();
-    out.by_anchor.assign(num_anchors,
-                         std::vector<BigInt>(
-                             static_cast<size_t>(out.num_endogenous) + 1));
-    // N_le[i][k] = #subsets with max ≤ anchor i or empty; N_lt strict.
-    std::vector<std::vector<BigInt>> lhs_le = AtMostCounts(lhs);
-    std::vector<std::vector<BigInt>> rhs_le = AtMostCounts(rhs);
-    for (size_t i = 0; i < num_anchors; ++i) {
-      const std::vector<BigInt>& lhs_eq = lhs.by_anchor[i];
-      const std::vector<BigInt>& rhs_eq = rhs.by_anchor[i];
-      std::vector<BigInt> lhs_lt = lhs_le[i];
-      for (size_t k = 0; k < lhs_lt.size(); ++k) lhs_lt[k] -= lhs_eq[k];
-      // max = a: (lhs = a, rhs ≤ a or empty) or (lhs < a or empty, rhs = a).
-      std::vector<BigInt> part1 = Convolve(lhs_eq, rhs_le[i]);
-      std::vector<BigInt> part2 = Convolve(lhs_lt, rhs_eq);
-      for (size_t k = 0; k < out.by_anchor[i].size(); ++k) {
-        out.by_anchor[i][k] = part1[k] + part2[k];
-      }
+  // sum_k series of a padded top-level structure: Σ key · count, summed
+  // over the keys' common denominator so only integers accumulate, and
+  // negated back for Min.
+  SumKSeries Series(const MaxStructure& top) const {
+    BigInt den(1);
+    for (const auto& [key, row] : top.rows) {
+      SHAPCQ_CHECK(key.has_value());  // every group is bound by a leaf
+      den = den / BigInt::Gcd(den, key->denominator()) * key->denominator();
     }
-    return out;
+    std::vector<BigInt> sums(static_cast<size_t>(top.num_endogenous) + 1);
+    for (const auto& [key, row] : top.rows) {
+      const BigInt scaled = key->numerator() * (den / key->denominator());
+      for (size_t k = 0; k < sums.size(); ++k) sums[k] += scaled * row[k];
+    }
+    SumKSeries series;
+    series.reserve(sums.size());
+    for (BigInt& sum : sums) {
+      if (setup_.negate) sum.Negate();
+      series.emplace_back(std::move(sum), den);
+    }
+    return series;
   }
 
  private:
-  bool AllDependedBound(const PartialHead& head) const {
-    for (int position : depends_on_) {
-      if (!head[static_cast<size_t>(position)].has_value()) return false;
-    }
-    return true;
+  Rational GroupValue(const TauGroup& group, const Tuple& head) const {
+    Rational value = group.tau->Evaluate(head);
+    return setup_.negate ? -value : value;
   }
 
-  int AnchorIndexOf(const Rational& value) const {
-    auto it = std::lower_bound(anchors_.begin(), anchors_.end(), value);
-    if (it == anchors_.end() || *it != value) return -1;
-    return static_cast<int>(it - anchors_.begin());
-  }
-
-  // All τ-relevant head positions are bound: every answer of this
-  // sub-problem has the same τ-value, so the structure collapses to
-  // satisfaction counts tagged with one anchor.
-  MaxStructure SolveValueFixed(const ConjunctiveQuery& q,
-                               const FactSubset& facts,
-                               const PartialHead& head) {
-    Tuple answer(static_cast<size_t>(head_arity_), Value(0));
-    for (int position : depends_on_) {
-      answer[static_cast<size_t>(position)] =
-          *head[static_cast<size_t>(position)];
-    }
-    Rational value = tau_.Evaluate(answer);
-    std::vector<BigInt> sat = SatisfactionCountsOnSubset(q, facts, comb_);
-    MaxStructure out;
-    out.num_endogenous = static_cast<int>(sat.size()) - 1;
-    out.by_anchor.assign(anchors_.size(),
-                         std::vector<BigInt>(sat.size()));
-    int anchor = AnchorIndexOf(value);
-    if (anchor >= 0) {
-      out.by_anchor[static_cast<size_t>(anchor)] = std::move(sat);
-    } else {
-      // A value outside the anchor set can never be realized by an answer
-      // of the full database, so no subset may satisfy the query here.
-      for (const BigInt& count : sat) SHAPCQ_CHECK(count.is_zero());
-    }
-    return out;
-  }
-
-  MaxStructure SolveRoot(const ConjunctiveQuery& q, const std::string& x,
-                         const FactSubset& facts, const PartialHead& head) {
-    int total_endogenous = facts.CountEndogenous();
-    MaxStructure acc = Empty();
-    int covered_endogenous = 0;
-    for (const Value& a : CandidateValues(q, x, facts)) {
-      FactSubset sub;
-      sub.db = facts.db;
-      sub.facts = FactsConsistentWith(q, x, a, facts);
-      covered_endogenous += sub.CountEndogenous();
-      PartialHead sub_head = head;
-      auto it = positions_of_head_var_.find(x);
-      if (it != positions_of_head_var_.end()) {
-        for (int position : it->second) {
-          sub_head[static_cast<size_t>(position)] = a;
-        }
-      }
-      acc = CombineUnion(acc, Solve(q.Bind(x, a), sub, sub_head));
-    }
-    return Pad(std::move(acc), total_endogenous - covered_endogenous);
-  }
-
-  // combine_× (Appendix C): the factor holding the localization relation
-  // carries the value structure; all other factors gate by non-emptiness.
-  MaxStructure SolveCrossProduct(const ConjunctiveQuery& q,
-                                 const std::vector<std::vector<int>>& components,
-                                 const FactSubset& facts,
-                                 const PartialHead& head) {
-    int r_atom = AtomIndexOf(q, relation_);
-    MaxStructure value_side;
-    std::vector<BigInt> other_sat = {BigInt(1)};
-    int covered_endogenous = 0;
-    bool found = false;
-    for (const std::vector<int>& component : components) {
-      ConjunctiveQuery sub_q = q.Project(component, nullptr);
-      FactSubset sub = FactsOfQueryRelations(sub_q, facts);
-      covered_endogenous += sub.CountEndogenous();
-      bool holds_r = std::find(component.begin(), component.end(), r_atom) !=
-                     component.end();
-      if (holds_r) {
-        found = true;
-        value_side = Solve(sub_q, sub, head);
-      } else {
-        other_sat = Convolve(other_sat,
-                             SatisfactionCountsOnSubset(sub_q, sub, comb_));
-      }
-    }
-    SHAPCQ_CHECK(found);
-    SHAPCQ_CHECK(covered_endogenous == facts.CountEndogenous());
-    MaxStructure out;
-    out.num_endogenous = facts.CountEndogenous();
-    out.by_anchor.reserve(anchors_.size());
-    for (const std::vector<BigInt>& row : value_side.by_anchor) {
-      std::vector<BigInt> combined = Convolve(row, other_sat);
-      combined.resize(static_cast<size_t>(out.num_endogenous) + 1);
-      out.by_anchor.push_back(std::move(combined));
-    }
-    return out;
-  }
-
-  MaxLOO SolveLOO(const ConjunctiveQuery& q, const FactSubset& facts,
-                  const PartialHead& head) {
-    SHAPCQ_CHECK(AtomIndexOf(q, relation_) >= 0);
-    if (AllDependedBound(head)) return SolveValueFixedLOO(q, facts, head);
+  MaxLOO Solve(const ConjunctiveQuery& q, const FactSubset& facts,
+               const Scope& scope, const Tuple& head, const Key& acc) {
+    if (scope.empty()) return SolveLeaf(q, facts, acc);
     std::vector<std::string> roots = RootVariables(q);
-    if (!roots.empty()) return SolveRootLOO(q, roots[0], facts, head);
+    if (!roots.empty()) return SolveRoot(q, roots[0], facts, scope, head, acc);
     std::vector<std::vector<int>> components = ConnectedComponents(q);
     SHAPCQ_CHECK(components.size() > 1);
-    return SolveCrossProductLOO(q, components, facts, head);
+    return SolveCrossProduct(q, components, facts, scope, head, acc);
   }
 
-  // Leaf: the variant of each fact is a direct re-count with its flag
-  // flipped — the one place the leave-one-out pass still recomputes.
-  MaxLOO SolveValueFixedLOO(const ConjunctiveQuery& q, const FactSubset& facts,
-                            const PartialHead& head) {
+  // Every group in scope is bound: all answers carry the value `acc`, so
+  // the structure is the satisfaction counts under that one key. A fact's
+  // variant is a direct re-count with its flag flipped — the one place
+  // the leave-one-out pass still recomputes.
+  MaxLOO SolveLeaf(const ConjunctiveQuery& q, const FactSubset& facts,
+                   const Key& acc) {
+    auto leaf = [&] {
+      MaxStructure s;
+      std::vector<BigInt> sat = SatisfactionCountsOnSubset(q, facts, comb_);
+      s.num_endogenous = static_cast<int>(sat.size()) - 1;
+      if (IsNonZero(sat)) s.rows.emplace(acc, std::move(sat));
+      return s;
+    };
     MaxLOO out;
-    out.full = SolveValueFixed(q, facts, head);
+    out.full = leaf();
+    if (loo_db_ == nullptr) return out;
     for (FactId f : facts.EndogenousFacts()) {
       loo_db_->SetEndogenous(f, false);
-      out.minus.emplace(f, SolveValueFixed(q, facts, head));
+      out.minus.emplace(f, leaf());
       loo_db_->SetEndogenous(f, true);
     }
     return out;
   }
 
-  // Root split: each fact lives in exactly one branch (self-join-free
-  // consistency is a partition), so its variant is
-  // prefix ∪ variant-branch ∪ suffix — one CombineUnion pair per fact
-  // instead of re-folding every branch. Uncovered endogenous facts are
-  // pure padding: their variant is the same combined structure with one
-  // padding row fewer.
-  MaxLOO SolveRootLOO(const ConjunctiveQuery& q, const std::string& x,
-                      const FactSubset& facts, const PartialHead& head) {
-    int total_endogenous = facts.CountEndogenous();
+  // Root split: the branches partition the facts (self-join-free
+  // consistency), so the result is their union; binding x folds the value
+  // of every group it completes into the branch's accumulator. A fact's
+  // variant is prefix ∪ variant-branch ∪ suffix; uncovered endogenous
+  // facts are pure padding, one padding row fewer.
+  MaxLOO SolveRoot(const ConjunctiveQuery& q, const std::string& x,
+                   const FactSubset& facts, const Scope& scope,
+                   const Tuple& head, const Key& acc) {
+    Scope child_scope = scope;
+    const bool binds_group = child_scope.erase(x) > 0;
+    auto positions = positions_of_head_var_.find(x);
     std::vector<MaxLOO> branches;
     int covered_endogenous = 0;
-    std::unordered_set<FactId> covered_endo;
     for (const Value& a : CandidateValues(q, x, facts)) {
       FactSubset sub;
       sub.db = facts.db;
       sub.facts = FactsConsistentWith(q, x, a, facts);
       covered_endogenous += sub.CountEndogenous();
-      for (FactId f : sub.EndogenousFacts()) covered_endo.insert(f);
-      PartialHead sub_head = head;
-      auto it = positions_of_head_var_.find(x);
-      if (it != positions_of_head_var_.end()) {
-        for (int position : it->second) {
-          sub_head[static_cast<size_t>(position)] = a;
+      Tuple child_head = head;
+      if (positions != positions_of_head_var_.end()) {
+        for (int p : positions->second) child_head[static_cast<size_t>(p)] = a;
+      }
+      Key child_acc = acc;
+      if (binds_group) {
+        for (size_t g : groups_of_var_.at(x)) {
+          if (Bound(setup_.groups[g], child_scope)) {
+            child_acc = Fold(setup_.fold, child_acc,
+                             GroupValue(setup_.groups[g], child_head));
+          }
         }
       }
-      branches.push_back(SolveLOO(q.Bind(x, a), sub, sub_head));
+      branches.push_back(
+          Solve(q.Bind(x, a), sub, child_scope, child_head, child_acc));
     }
-    const int pad = total_endogenous - covered_endogenous;
+    const int pad = facts.CountEndogenous() - covered_endogenous;
     const size_t num_branches = branches.size();
-    // prefix[i] = branches[0..i) folded left (prefix[0] = Empty), exactly
-    // the running accumulator of SolveRoot; suffix[i] = branches(i..B).
     std::vector<MaxStructure> prefix(num_branches + 1);
-    prefix[0] = Empty();
     for (size_t i = 0; i < num_branches; ++i) {
       prefix[i + 1] = CombineUnion(prefix[i], branches[i].full);
     }
+    MaxLOO out;
+    out.full = Pad(prefix[num_branches], pad, comb_);
+    if (loo_db_ == nullptr) return out;
     std::vector<MaxStructure> suffix(num_branches + 1);
-    suffix[num_branches] = Empty();
     for (size_t i = num_branches; i-- > 0;) {
       suffix[i] = CombineUnion(branches[i].full, suffix[i + 1]);
     }
-    MaxLOO out;
-    out.full = Pad(prefix[num_branches], pad);
     for (size_t i = 0; i < num_branches; ++i) {
-      for (auto& [f, variant] : branches[i].minus) {
+      for (const auto& [f, variant] : branches[i].minus) {
         out.minus.emplace(
             f, Pad(CombineUnion(CombineUnion(prefix[i], variant),
                                 suffix[i + 1]),
-                   pad));
+                   pad, comb_));
       }
     }
     if (pad > 0) {
       for (FactId f : facts.EndogenousFacts()) {
-        if (covered_endo.count(f) == 0) {
-          out.minus.emplace(f, Pad(prefix[num_branches], pad - 1));
+        if (out.minus.count(f) == 0) {
+          out.minus.emplace(f, Pad(prefix[num_branches], pad - 1, comb_));
         }
       }
     }
     return out;
   }
 
-  // Cross product: the value-bearing component recurses; the other
-  // components gate by satisfaction counts. A fact in a gating component
-  // re-counts only that component and re-convolves.
-  MaxLOO SolveCrossProductLOO(const ConjunctiveQuery& q,
-                              const std::vector<std::vector<int>>& components,
-                              const FactSubset& facts,
-                              const PartialHead& head) {
-    int r_atom = AtomIndexOf(q, relation_);
-    MaxLOO value_side;
-    // Gating components: full counts plus per-endogenous-fact variants.
-    struct GateComponent {
-      std::vector<BigInt> sat;
-      std::unordered_map<FactId, std::vector<BigInt>> sat_minus;
-    };
-    std::vector<GateComponent> gates;
+  // Cross product: each component solves its share of the scope, and the
+  // products fold their keys. The outer accumulator enters through the
+  // first component — a monotone shift of its keys, equal to shifting the
+  // folded product by associativity.
+  MaxLOO SolveCrossProduct(const ConjunctiveQuery& q,
+                           const std::vector<std::vector<int>>& components,
+                           const FactSubset& facts, const Scope& scope,
+                           const Tuple& head, const Key& acc) {
+    std::vector<MaxLOO> parts;
     int covered_endogenous = 0;
-    bool found = false;
     for (const std::vector<int>& component : components) {
       ConjunctiveQuery sub_q = q.Project(component, nullptr);
       FactSubset sub = FactsOfQueryRelations(sub_q, facts);
       covered_endogenous += sub.CountEndogenous();
-      bool holds_r = std::find(component.begin(), component.end(), r_atom) !=
-                     component.end();
-      if (holds_r) {
-        found = true;
-        value_side = SolveLOO(sub_q, sub, head);
-      } else {
-        GateComponent gate;
-        gate.sat = SatisfactionCountsOnSubset(sub_q, sub, comb_);
-        for (FactId f : sub.EndogenousFacts()) {
-          loo_db_->SetEndogenous(f, false);
-          gate.sat_minus.emplace(
-              f, SatisfactionCountsOnSubset(sub_q, sub, comb_));
-          loo_db_->SetEndogenous(f, true);
-        }
-        gates.push_back(std::move(gate));
+      Scope sub_scope;
+      for (const std::string& variable : scope) {
+        if (sub_q.HasVariable(variable)) sub_scope.insert(variable);
       }
+      parts.push_back(
+          Solve(sub_q, sub, sub_scope, head, parts.empty() ? acc : Key()));
     }
-    SHAPCQ_CHECK(found);
     SHAPCQ_CHECK(covered_endogenous == facts.CountEndogenous());
-    const int num_endogenous = facts.CountEndogenous();
-    // Convolved gate counts with prefix/suffix so a gating fact's variant
-    // re-convolves one component, not all of them.
-    const size_t num_gates = gates.size();
-    std::vector<std::vector<BigInt>> gate_prefix(num_gates + 1);
-    gate_prefix[0] = {BigInt(1)};
-    for (size_t i = 0; i < num_gates; ++i) {
-      gate_prefix[i + 1] = Convolve(gate_prefix[i], gates[i].sat);
+    // One "answer" with the identity value over zero facts.
+    MaxStructure unit;
+    unit.rows.emplace(Key(), std::vector<BigInt>{BigInt(1)});
+    const size_t num_parts = parts.size();
+    std::vector<MaxStructure> prefix(num_parts + 1);
+    prefix[0] = unit;
+    for (size_t i = 0; i < num_parts; ++i) {
+      prefix[i + 1] = CombineCross(prefix[i], parts[i].full);
     }
-    std::vector<std::vector<BigInt>> gate_suffix(num_gates + 1);
-    gate_suffix[num_gates] = {BigInt(1)};
-    for (size_t i = num_gates; i-- > 0;) {
-      gate_suffix[i] = Convolve(gates[i].sat, gate_suffix[i + 1]);
-    }
-    auto combine = [&](const MaxStructure& value,
-                       const std::vector<BigInt>& other_sat,
-                       int endogenous) {
-      MaxStructure s;
-      s.num_endogenous = endogenous;
-      s.by_anchor.reserve(anchors_.size());
-      for (const std::vector<BigInt>& row : value.by_anchor) {
-        std::vector<BigInt> combined = Convolve(row, other_sat);
-        combined.resize(static_cast<size_t>(endogenous) + 1);
-        s.by_anchor.push_back(std::move(combined));
-      }
-      return s;
-    };
     MaxLOO out;
-    out.full = combine(value_side.full, gate_prefix[num_gates],
-                       num_endogenous);
-    for (auto& [f, variant] : value_side.minus) {
-      out.minus.emplace(
-          f, combine(variant, gate_prefix[num_gates], num_endogenous - 1));
+    out.full = prefix[num_parts];
+    if (loo_db_ == nullptr) return out;
+    std::vector<MaxStructure> suffix(num_parts + 1);
+    suffix[num_parts] = unit;
+    for (size_t i = num_parts; i-- > 0;) {
+      suffix[i] = CombineCross(parts[i].full, suffix[i + 1]);
     }
-    for (size_t i = 0; i < num_gates; ++i) {
-      for (auto& [f, sat_variant] : gates[i].sat_minus) {
-        std::vector<BigInt> other =
-            Convolve(Convolve(gate_prefix[i], sat_variant),
-                     gate_suffix[i + 1]);
-        out.minus.emplace(f,
-                          combine(value_side.full, other, num_endogenous - 1));
+    for (size_t i = 0; i < num_parts; ++i) {
+      for (const auto& [f, variant] : parts[i].minus) {
+        MaxStructure combined =
+            i == 0 ? variant : CombineCross(prefix[i], variant);
+        if (i + 1 < num_parts) combined = CombineCross(combined, suffix[i + 1]);
+        out.minus.emplace(f, std::move(combined));
       }
     }
     return out;
   }
 
-  // Per anchor i: counts of subsets with max ≤ anchor i or empty answers.
-  std::vector<std::vector<BigInt>> AtMostCounts(const MaxStructure& s) const {
-    size_t width = static_cast<size_t>(s.num_endogenous) + 1;
-    std::vector<std::vector<BigInt>> result(anchors_.size(),
-                                            std::vector<BigInt>(width));
-    // Running prefix over anchors.
-    std::vector<BigInt> prefix(width);
-    std::vector<BigInt> total(width);
-    for (size_t i = 0; i < anchors_.size(); ++i) {
-      for (size_t k = 0; k < width; ++k) total[k] += s.by_anchor[i][k];
-    }
-    for (size_t i = 0; i < anchors_.size(); ++i) {
-      for (size_t k = 0; k < width; ++k) {
-        prefix[k] += s.by_anchor[i][k];
-        // empty-answer subsets: C(m,k) − total.
-        result[i][k] = prefix[k] + comb_->Binomial(s.num_endogenous,
-                                                   static_cast<int64_t>(k)) -
-                       total[k];
+  // combine_∪ (Appendix C): over disjoint sub-databases, the union's
+  // maximum is a iff one side attains a and the other is ≤ a or empty.
+  MaxStructure CombineUnion(const MaxStructure& lhs,
+                            const MaxStructure& rhs) const {
+    MaxStructure out;
+    out.num_endogenous = lhs.num_endogenous + rhs.num_endogenous;
+    // Running counts of "max below the current key, or no answer".
+    std::vector<BigInt> lhs_below = NoAnswerCounts(lhs, comb_);
+    std::vector<BigInt> rhs_below = NoAnswerCounts(rhs, comb_);
+    auto l = lhs.rows.begin();
+    auto r = rhs.rows.begin();
+    while (l != lhs.rows.end() || r != rhs.rows.end()) {
+      const bool at_l = r == rhs.rows.end() ||
+                        (l != lhs.rows.end() && l->first <= r->first);
+      const bool at_r = l == lhs.rows.end() ||
+                        (r != rhs.rows.end() && r->first <= l->first);
+      const Key key = at_l ? l->first : r->first;
+      std::vector<BigInt> row(static_cast<size_t>(out.num_endogenous) + 1);
+      // (lhs < key or empty, rhs = key) + (lhs = key, rhs ≤ key or empty).
+      if (at_r) {
+        AddInto(row, Convolve(lhs_below, r->second));
+        AddInto(rhs_below, r->second);
       }
+      if (at_l) {
+        AddInto(row, Convolve(l->second, rhs_below));
+        AddInto(lhs_below, l->second);
+      }
+      if (IsNonZero(row)) {
+        out.rows.emplace_hint(out.rows.end(), key, std::move(row));
+      }
+      if (at_l) ++l;
+      if (at_r) ++r;
     }
-    return result;
+    return out;
   }
 
-  const ValueFunction& tau_;
-  const std::string& relation_;
-  std::vector<Rational> anchors_;  // ascending
+  // combine_× (Section 7.3): every pair of factor maxima folds into the
+  // product's maximum; an empty factor empties the product.
+  MaxStructure CombineCross(const MaxStructure& lhs,
+                            const MaxStructure& rhs) const {
+    MaxStructure out;
+    out.num_endogenous = lhs.num_endogenous + rhs.num_endogenous;
+    for (const auto& [lkey, lrow] : lhs.rows) {
+      for (const auto& [rkey, rrow] : rhs.rows) {
+        std::vector<BigInt> product = Convolve(lrow, rrow);
+        auto [it, inserted] =
+            out.rows.try_emplace(Fold(setup_.fold, lkey, rkey));
+        if (inserted) {
+          it->second = std::move(product);
+        } else {
+          AddInto(it->second, product);
+        }
+      }
+    }
+    return out;
+  }
+
+  static bool Bound(const TauGroup& group, const Scope& scope) {
+    for (const std::string& variable : group.variables) {
+      if (scope.count(variable) > 0) return false;
+    }
+    return true;
+  }
+
+  const MinMaxSetup& setup_;
   Combinatorics* comb_;
   int head_arity_;
-  std::vector<int> depends_on_;
   std::unordered_map<std::string, std::vector<int>> positions_of_head_var_;
-  // Set only during SolveLeaveOneOut: the mutable database the fact
-  // subsets point into, used for transient leaf flag flips.
+  std::unordered_map<std::string, std::vector<size_t>> groups_of_var_;
+  // Set only during a leave-one-out SolveTop: the mutable database the
+  // fact subsets point into, used for transient leaf flag flips.
   Database* loo_db_ = nullptr;
 };
 
-StatusOr<SumKSeries> MaxSumK(const AggregateQuery& a, const Database& db) {
-  std::vector<int> localization = LocalizationAtoms(a.query, *a.tau);
-  if (localization.empty()) {
+// The gates of both entry points, in one order so the batch fails exactly
+// where the per-fact path would, and the grouping of τ they settle on.
+StatusOr<MinMaxSetup> SetUp(const AggregateQuery& a) {
+  const AggKind kind = a.alpha.kind();
+  if (kind != AggKind::kMin && kind != AggKind::kMax) {
+    return UnsupportedError("MinMaxSumK handles Min and Max only");
+  }
+  if (a.query.HasSelfJoin()) {
+    return UnsupportedError("Min/Max requires a self-join-free CQ");
+  }
+  if (!IsAllHierarchical(a.query)) {
+    return UnsupportedError("Min/Max requires an all-hierarchical CQ: " +
+                            a.query.ToString());
+  }
+  const bool is_max = kind == AggKind::kMax;
+  auto head_var = [&a](int position) {
+    return a.query.head()[static_cast<size_t>(position)];
+  };
+  MinMaxSetup setup;
+  setup.negate = !is_max;
+  if (!LocalizationAtoms(a.query, *a.tau).empty()) {
+    TauGroup group{{}, a.tau};
+    for (int position : a.tau->DependsOn()) {
+      group.variables.push_back(head_var(position));
+    }
+    setup.groups.push_back(std::move(group));
+    return setup;
+  }
+  const std::optional<MonoidKind> monoid = a.tau->monoid();
+  if (!monoid.has_value()) {
     return UnsupportedError("value function is not localized on any atom of " +
                             a.query.ToString());
   }
-  const std::string relation =
-      a.query.atoms()[static_cast<size_t>(localization[0])].relation;
-  // Anchors: distinct τ-values over the answers of the full database.
-  std::set<Rational> anchor_set;
-  for (const Tuple& answer : Evaluate(a.query, db)) {
-    anchor_set.insert(a.tau->Evaluate(answer));
+  if (is_max && *monoid == MonoidKind::kMin) {
+    return UnsupportedError("Max aggregation needs a non-decreasing monoid");
   }
-  int n = db.num_endogenous();
-  SumKSeries series(static_cast<size_t>(n) + 1);
-  if (anchor_set.empty()) return series;  // no answers ever: sum_k = 0
-  std::vector<Rational> anchors(anchor_set.begin(), anchor_set.end());
+  if (!is_max && *monoid == MonoidKind::kMax) {
+    return UnsupportedError("Min aggregation needs a non-increasing monoid");
+  }
+  // Negation turns min-folds into max-folds and keeps plus-folds.
+  setup.fold = *monoid == MonoidKind::kMin ? MonoidKind::kMax : *monoid;
+  for (int position : a.tau->DependsOn()) {
+    setup.groups.push_back({{head_var(position)}, MakeTauId(position)});
+  }
+  return setup;
+}
+
+}  // namespace
+
+StatusOr<SumKSeries> MinMaxSumK(const AggregateQuery& a, const Database& db,
+                                const SolverOptions& /*options*/) {
+  StatusOr<MinMaxSetup> setup = SetUp(a);
+  if (!setup.ok()) return setup.status();
   Combinatorics comb;
-  MaxSolver solver(a.query, *a.tau, relation, anchors, &comb);
+  MaxSolver solver(a.query, *setup, &comb);
   RelevanceSplit split = SplitRelevant(a.query, AllFacts(db));
-  MaxStructure top =
-      solver.Solve(a.query, split.relevant, solver.EmptyHead());
-  top = solver.Pad(std::move(top), split.irrelevant_endogenous);
-  SHAPCQ_CHECK(top.num_endogenous == n);
-  for (size_t i = 0; i < anchors.size(); ++i) {
-    for (int k = 0; k <= n; ++k) {
-      const BigInt& count = top.by_anchor[i][static_cast<size_t>(k)];
-      if (!count.is_zero()) {
-        series[static_cast<size_t>(k)] += anchors[i] * Rational(count);
-      }
-    }
-  }
-  return series;
+  MaxStructure top = Pad(solver.SolveTop(a.query, split.relevant, nullptr).full,
+                         split.irrelevant_endogenous, &comb);
+  SHAPCQ_CHECK(top.num_endogenous == db.num_endogenous());
+  return solver.Series(top);
 }
 
-// sum_k series of a padded MaxStructure: Σ_anchors a · count, ascending
-// anchors — the exact accumulation order of MaxSumK's tail, so the batched
-// path reproduces its values bit for bit.
-SumKSeries SeriesFromMaxStructure(const MaxStructure& top,
-                                  const std::vector<Rational>& anchors) {
-  SumKSeries series(static_cast<size_t>(top.num_endogenous) + 1);
-  for (size_t i = 0; i < anchors.size(); ++i) {
-    for (size_t k = 0; k < series.size(); ++k) {
-      const BigInt& count = top.by_anchor[i][k];
-      if (!count.is_zero()) series[k] += anchors[i] * Rational(count);
-    }
-  }
-  return series;
-}
-
-// Batched Max scorer. Equivalence with per-fact ScoreViaSumK(MaxSumK):
-//  * F_f (f exogenous) has exactly the facts of D, so its answers, anchor
-//    set, and relevance split coincide with D's. All F-structures come
-//    from one leave-one-out DP pass (SolveLeaveOneOut) over the relevant
-//    subset — exact subset counting, so the variants carry exactly the
-//    integers a from-scratch solve of F_f would produce.
+// Equivalence with per-fact ScoreViaSumK(MinMaxSumK):
+//  * F_f (f exogenous) has exactly the facts of D, so its relevance split
+//    coincides with D's, and its structure is the leave-one-out variant of
+//    f — exact subset counting, the integers a from-scratch solve of F_f
+//    would produce.
 //  * G_f (f removed) follows from the partition identity
 //      sum_k(A, D) = sum_k(A, G_f) + sum_{k−1}(A, F_f)
-//    (split the k-subsets of D_n by membership of f), so no G solve runs
-//    at all. The subtraction is exact rational arithmetic on canonical
-//    forms, hence value- and representation-identical to solving G_f.
+//    (split the k-subsets of D_n by membership of f): exact rational
+//    subtraction on canonical forms, so no G solve runs at all.
 //  * Facts irrelevant to Q leave every answer set unchanged, so F and G
-//    series coincide and the score is an exact 0 — emitted without
-//    running the DP (the per-fact path computes the same 0 the long way).
-StatusOr<std::vector<std::pair<FactId, Rational>>> MaxScoreAll(
-    const AggregateQuery& a, const Database& db, const SolverOptions& options) {
-  std::vector<int> localization = LocalizationAtoms(a.query, *a.tau);
-  if (localization.empty()) {
-    return UnsupportedError("value function is not localized on any atom of " +
-                            a.query.ToString());
-  }
-  const std::string relation =
-      a.query.atoms()[static_cast<size_t>(localization[0])].relation;
+//    series coincide and the score is an exact 0, emitted without the DP.
+StatusOr<std::vector<std::pair<FactId, Rational>>> MinMaxScoreAll(
+    const AggregateQuery& a, const Database& db,
+    const SolverOptions& options) {
+  StatusOr<MinMaxSetup> setup = SetUp(a);
+  if (!setup.ok()) return setup.status();
   const std::vector<FactId> endo = db.EndogenousFacts();
   const int n = db.num_endogenous();
   if (n == 0) return std::vector<std::pair<FactId, Rational>>{};
-  // Anchors: distinct τ-values over the answers of the full database —
-  // computed once and shared by every per-fact variant.
-  std::set<Rational> anchor_set;
-  for (const Tuple& answer : Evaluate(a.query, db)) {
-    anchor_set.insert(a.tau->Evaluate(answer));
-  }
-  std::vector<std::pair<FactId, Rational>> scores(endo.size());
-  if (anchor_set.empty()) {
-    // No answers over the full database: every F/G series is zero.
-    for (size_t i = 0; i < endo.size(); ++i) scores[i] = {endo[i], Rational()};
-    return scores;
-  }
-  const std::vector<Rational> anchors(anchor_set.begin(), anchor_set.end());
-  // Relevance split, shared: relevance is independent of endogenous flags,
-  // and every scored fact is itself relevant (irrelevant ones short-circuit
-  // to 0), so the irrelevant counts hold for each derived database too.
+  // Relevance is independent of endogenous flags, so the split holds for
+  // every derived database too.
   RelevanceSplit split = SplitRelevantIndexed(a.query, db);
   std::vector<char> is_relevant(static_cast<size_t>(db.num_facts()), 0);
   for (FactId id : split.relevant.facts) {
     is_relevant[static_cast<size_t>(id)] = 1;
   }
-  // One leave-one-out pass over the relevant subset: the full structure
-  // plus every relevant endogenous fact's F-variant.
   Database work = db;
   Combinatorics comb;
-  MaxSolver solver(a.query, *a.tau, relation, anchors, &comb);
+  MaxSolver solver(a.query, *setup, &comb);
   FactSubset relevant;
   relevant.db = &work;
   relevant.facts = split.relevant.facts;
-  MaxLOO loo =
-      solver.SolveLeaveOneOut(a.query, relevant, solver.EmptyHead(), &work);
-  MaxStructure full =
-      solver.Pad(std::move(loo.full), split.irrelevant_endogenous);
+  MaxLOO loo = solver.SolveTop(a.query, relevant, &work);
+  MaxStructure full = Pad(std::move(loo.full), split.irrelevant_endogenous,
+                          &comb);
   SHAPCQ_CHECK(full.num_endogenous == n);
-  const SumKSeries full_series = SeriesFromMaxStructure(full, anchors);
+  const SumKSeries full_series = solver.Series(full);
   // Per-fact assembly shards over contiguous fact chunks (worker-private
   // binomial caches; slot i holds fact endo[i], so the fan-out is
   // deterministic and thread-count invariant).
+  std::vector<std::pair<FactId, Rational>> scores(endo.size());
   const int num_chunks =
       EffectiveThreadCount(options.num_threads, static_cast<int64_t>(n));
   ParallelFor(
       num_chunks,
       [&](int64_t c) {
-        const auto [chunk_begin, chunk_end] =
+        const auto [begin, end] =
             ChunkBounds(static_cast<int64_t>(endo.size()), num_chunks, c);
-        const size_t begin = static_cast<size_t>(chunk_begin);
-        const size_t end = static_cast<size_t>(chunk_end);
         Combinatorics worker_comb;
-        for (size_t i = begin; i < end; ++i) {
+        for (size_t i = static_cast<size_t>(begin);
+             i < static_cast<size_t>(end); ++i) {
           const FactId f = endo[i];
           if (!is_relevant[static_cast<size_t>(f)]) {
             scores[i] = {f, Rational()};
@@ -581,81 +509,16 @@ StatusOr<std::vector<std::pair<FactId, Rational>>> MaxScoreAll(
           }
           auto it = loo.minus.find(f);
           SHAPCQ_CHECK(it != loo.minus.end());
-          MaxStructure padded;
-          padded.num_endogenous =
-              it->second.num_endogenous + split.irrelevant_endogenous;
-          padded.by_anchor.reserve(it->second.by_anchor.size());
-          for (const std::vector<BigInt>& row : it->second.by_anchor) {
-            padded.by_anchor.push_back(
-                split.irrelevant_endogenous == 0
-                    ? row
-                    : PadCounts(row, split.irrelevant_endogenous,
-                                &worker_comb));
-          }
-          SHAPCQ_CHECK(padded.num_endogenous == n - 1);
-          SumKSeries series_f = SeriesFromMaxStructure(padded, anchors);
-          SumKSeries series_g =
+          const SumKSeries series_f = solver.Series(
+              Pad(std::move(it->second), split.irrelevant_endogenous,
+                  &worker_comb));
+          SHAPCQ_CHECK(series_f.size() == static_cast<size_t>(n));
+          const SumKSeries series_g =
               RemovedSeriesFromIdentity(full_series, series_f);
           scores[i] = {f, ScoreFromSumK(series_f, series_g, options.score)};
         }
       },
       num_chunks);
-  return scores;
-}
-
-}  // namespace
-
-StatusOr<SumKSeries> MinMaxSumK(const AggregateQuery& a, const Database& db,
-                                const SolverOptions& /*options*/) {
-  if (a.alpha.kind() != AggKind::kMin && a.alpha.kind() != AggKind::kMax) {
-    return UnsupportedError("MinMaxSumK handles Min and Max only");
-  }
-  if (a.query.HasSelfJoin()) {
-    return UnsupportedError("Min/Max requires a self-join-free CQ");
-  }
-  if (!IsAllHierarchical(a.query)) {
-    return UnsupportedError("Min/Max requires an all-hierarchical CQ: " +
-                            a.query.ToString());
-  }
-  if (a.alpha.kind() == AggKind::kMax) return MaxSumK(a, db);
-  // Min(B) = −Max(−B), and both send ∅ to 0.
-  AggregateQuery negated{
-      a.query,
-      MakeComposedTau([](const Rational& v) { return -v; }, a.tau, "negate"),
-      AggregateFunction::Max()};
-  StatusOr<SumKSeries> series = MaxSumK(negated, db);
-  if (!series.ok()) return series.status();
-  for (Rational& value : *series) value = -value;
-  return series;
-}
-
-StatusOr<std::vector<std::pair<FactId, Rational>>> MinMaxScoreAll(
-    const AggregateQuery& a, const Database& db,
-    const SolverOptions& options) {
-  // The gates of MinMaxSumK, in the same order, so the batch fails exactly
-  // where the per-fact path would.
-  if (a.alpha.kind() != AggKind::kMin && a.alpha.kind() != AggKind::kMax) {
-    return UnsupportedError("MinMaxSumK handles Min and Max only");
-  }
-  if (a.query.HasSelfJoin()) {
-    return UnsupportedError("Min/Max requires a self-join-free CQ");
-  }
-  if (!IsAllHierarchical(a.query)) {
-    return UnsupportedError("Min/Max requires an all-hierarchical CQ: " +
-                            a.query.ToString());
-  }
-  if (a.alpha.kind() == AggKind::kMax) return MaxScoreAll(a, db, options);
-  // Min(B) = −Max(−B): the negation commutes with the (linear) score
-  // combination, so negating each fact's Max score under −τ reproduces the
-  // per-fact Min values exactly.
-  AggregateQuery negated{
-      a.query,
-      MakeComposedTau([](const Rational& v) { return -v; }, a.tau, "negate"),
-      AggregateFunction::Max()};
-  StatusOr<std::vector<std::pair<FactId, Rational>>> scores =
-      MaxScoreAll(negated, db, options);
-  if (!scores.ok()) return scores.status();
-  for (auto& [fact, score] : *scores) score = -score;
   return scores;
 }
 

@@ -1,12 +1,19 @@
-// Min and Max over all-hierarchical CQs (Section 4.2, Appendix C).
+// Min and Max over all-hierarchical CQs (Section 4.2, Appendix C), with
+// the Section 7.3 extension to monotone-monoid value functions.
 //
 // Instantiates the generic algorithm of Figure 2 with the data structure
 // P[Q', D'](a, k) = number of k-subsets E of D'_n such that
-// max (τ ∘ Q')(E ∪ D'_x) = a, for anchors a drawn from the τ-values of the
-// full query's answers. Sub-problems without the localization relation use
-// plain satisfaction counts; combine_∪ composes maxima over disjoint
-// sub-databases and combine_× gates by non-emptiness of the other factors.
-// Min runs Max on the negated value function.
+// max (τ ∘ Q')(E ∪ D'_x) = a, kept sparse: only the values some subset
+// attains. combine_∪ composes maxima over disjoint sub-databases;
+// combine_× folds the per-factor maxima with τ's monoid, since for a
+// non-decreasing ⊗
+//
+//   max over Q1 × Q2 of (v1 ⊗ v2) = (max v1) ⊗ (max v2).
+//
+// A localized τ is the case where every τ-variable sits in one atom, so at
+// most one factor of a cross product carries a value and the fold is
+// trivial. Min runs the same DP on negated values: Min(B) = −Max(−B), and
+// negation turns a min-fold into a max-fold.
 
 #ifndef SHAPCQ_SHAPLEY_MIN_MAX_H_
 #define SHAPCQ_SHAPLEY_MIN_MAX_H_
@@ -23,20 +30,20 @@
 namespace shapcq {
 
 // sum_k series for A = Min ∘ τ ∘ Q or Max ∘ τ ∘ Q. Returns UNSUPPORTED
-// unless the query is self-join-free and all-hierarchical and τ is
-// localized on some atom of Q.
+// unless the query is self-join-free and all-hierarchical and τ is either
+// localized on some atom of Q or a monoid fold (MakeMonoidTau) whose
+// monoid suits the aggregate: plus or maxof for Max, plus or minof for
+// Min.
 StatusOr<SumKSeries> MinMaxSumK(const AggregateQuery& a, const Database& db,
                                 const SolverOptions& options = {});
 
-// Batched all-facts scorer with the same gates as MinMaxSumK. The shared
-// per-(query, database) state — anchor set, relevance split, binomial
-// caches — is computed once; each fact's derived databases F (fact
-// exogenous) and G (fact removed) are realized as an endogenous-flag flip
-// and a subset drop on a per-worker database copy instead of 2n full
-// copies, and facts irrelevant to the query score an exact 0 without
-// running the DP. Shards over options.num_threads (options.score selects
-// Shapley/Banzhaf); values are bitwise-identical to per-fact ScoreViaSumK
-// for every thread count.
+// Batched all-facts scorer with the same gates as MinMaxSumK. One
+// leave-one-out pass of the DP yields every fact's derived database F
+// (fact exogenous); G (fact removed) follows from the partition identity,
+// and facts irrelevant to the query score an exact 0 without running the
+// DP. Shards the per-fact assembly over options.num_threads
+// (options.score selects Shapley/Banzhaf); values are bitwise-identical
+// to per-fact ScoreViaSumK for every thread count.
 StatusOr<std::vector<std::pair<FactId, Rational>>> MinMaxScoreAll(
     const AggregateQuery& a, const Database& db,
     const SolverOptions& options = {});

@@ -11,6 +11,10 @@ Rational ScoreFromSumK(const SumKSeries& series_f_exogenous,
   SHAPCQ_CHECK(series_f_exogenous.size() == series_f_removed.size());
   SHAPCQ_CHECK(!series_f_exogenous.empty());
   int64_t n = static_cast<int64_t>(series_f_exogenous.size());  // players
+  // Every Shapley weight k!(n−1−k)!/n! shares the denominator n!, and the
+  // Banzhaf weight is 2^(1−n) for every k: accumulate with the integer
+  // numerators and divide once, so no big-denominator sum is normalized
+  // per k.
   Combinatorics comb;
   Rational score;
   for (int64_t k = 0; k < n; ++k) {
@@ -19,14 +23,17 @@ Rational ScoreFromSumK(const SumKSeries& series_f_exogenous,
     if (delta.is_zero()) continue;
     switch (kind) {
       case ScoreKind::kShapley:
-        score += comb.ShapleyCoefficient(n, k) * delta;
+        score +=
+            delta * Rational(comb.Factorial(k) * comb.Factorial(n - 1 - k));
         break;
       case ScoreKind::kBanzhaf:
         score += delta;
         break;
     }
   }
-  if (kind == ScoreKind::kBanzhaf && n > 1) {
+  if (kind == ScoreKind::kShapley) {
+    score /= Rational(comb.Factorial(n));
+  } else if (n > 1) {
     score /= Rational(BigInt::TwoPow(static_cast<uint64_t>(n - 1)));
   }
   return score;

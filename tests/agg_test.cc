@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "shapcq/agg/aggregate.h"
+#include "shapcq/agg/spec.h"
 #include "shapcq/agg/value_function.h"
 #include "shapcq/data/database.h"
 #include "shapcq/query/parser.h"
@@ -134,6 +135,26 @@ TEST(ValueFunctionTest, EvaluateTauOnFact) {
 // ---------------------------------------------------------------------------
 // End-to-end aggregate query evaluation (Example 2.2 flavor)
 // ---------------------------------------------------------------------------
+
+TEST(ValueFunctionTest, MonoidSpecsParseToCanonicalFolds) {
+  Tuple t = {Value(3), Value(-1), Value(7)};
+  auto plus = ParseTauSpec("plus:1,3");
+  ASSERT_TRUE(plus.ok()) << plus.status().ToString();
+  EXPECT_EQ((*plus)->Evaluate(t), Rational(10));
+  EXPECT_EQ((*plus)->DependsOn(), (std::vector<int>{0, 2}));
+  EXPECT_EQ((*plus)->FingerprintToken(), "tau_plus^1,3");
+  EXPECT_EQ((*plus)->monoid(), MonoidKind::kPlus);
+  auto maxof = ParseTauSpec("maxof:2,1");
+  ASSERT_TRUE(maxof.ok());
+  EXPECT_EQ((*maxof)->Evaluate(t), Rational(3));
+  auto minof = ParseTauSpec("minof:3");
+  ASSERT_TRUE(minof.ok());
+  EXPECT_EQ((*minof)->Evaluate(t), Rational(7));
+  EXPECT_EQ(MakeTauId(0)->monoid(), std::nullopt);
+  for (const char* bad : {"plus:", "plus:0", "plus:1,", "maxof:a", "sum:1,2"}) {
+    EXPECT_FALSE(ParseTauSpec(bad).ok()) << bad;
+  }
+}
 
 TEST(AggregateQueryTest, AverageSalaryExample) {
   // Schema of Example 2.2: Earns(person, salary), Course(name, number),

@@ -140,8 +140,10 @@ TEST(ArtifactTest, PlanRoundTripPreservesFingerprints) {
       AggregateQuery{q, MakeTauReLU(0), AggregateFunction::Median()});
   source.GetOrCompile(AggregateQuery{
       q, MakeConstantTau(Rational(7)), AggregateFunction::Max()});
+  source.GetOrCompile(AggregateQuery{
+      q, MakeMonoidTau(MonoidKind::kPlus, {0}), AggregateFunction::Max()});
   auto plans = source.Snapshot();
-  ASSERT_EQ(plans.size(), 5u);
+  ASSERT_EQ(plans.size(), 6u);
 
   ArtifactWriter writer(dir);
   StatusOr<ArtifactWriteStats> written = writer.WritePlans(plans);
@@ -277,6 +279,9 @@ TEST(ParseCanonicalTauTokenTest, RoundTripsTheBuiltins) {
       MakeTauId(2),
       MakeTauGreaterThan(1, Rational(5, 2)),
       MakeTauReLU(1),
+      MakeMonoidTau(MonoidKind::kPlus, {0, 1}),
+      MakeMonoidTau(MonoidKind::kMax, {2, 0}),
+      MakeMonoidTau(MonoidKind::kMin, {1}),
   };
   Tuple sample = {Value(int64_t{-2}), Value(int64_t{3}), Value(int64_t{11})};
   for (const ValueFunctionPtr& tau : taus) {
@@ -297,6 +302,7 @@ TEST(ParseCanonicalTauTokenTest, RejectsMalformedTokens) {
       "",          "garbage",    "tau_id^0",  "tau_id^",    "tau_id^x",
       "const(1",   "const()",    "tau_>^2",   "tau_>1",     "tau_ReLU^-1",
       "tau_id^999999999",        "callback:anything#7",
+      "tau_plus^",  "tau_plus^1,", "tau_maxof^0,1", "tau_minof^1;2",
   };
   for (const char* token : bad) {
     EXPECT_FALSE(ParseCanonicalTauToken(token).ok()) << token;

@@ -157,6 +157,65 @@ TEST(DaemonSmokeTest, ServeScrapeReplayBitwiseParity) {
   std::remove(journal_path.c_str());
 }
 
+// A Section 7.3 monoid value function over the wire: Max(x + z) over a
+// Cartesian product is served by the Min/Max DP (not brute force or Monte
+// Carlo), and the journal replays it bitwise.
+TEST(DaemonSmokeTest, MonoidTauSolveIsExactAndReplaysBitwise) {
+  const std::string journal_path = ::testing::TempDir() +
+                                   "/daemon_monoid_journal_" +
+                                   std::to_string(::getpid());
+  const char* fleet_text =
+      "+R(1, 12)\n+R(2, 30)\n+R(3, 5)\n-R(4, 18)\n+T(1, 40)\n+T(2, 25)\n";
+
+  ServerOptions options;
+  options.journal_path = journal_path;
+  AttributionServer server(options);
+  server.RegisterTenant("fleet", MustParseDb(fleet_text));
+  Status started = server.Start();
+  ASSERT_TRUE(started.ok()) << started.ToString();
+  auto client = LineClient::Connect(server.port());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+
+  SolveRequest request;
+  request.id = 1;
+  request.tenant = "fleet";
+  request.query = "Q(x, z) <- R(i, x), T(j, z)";
+  request.agg = "max";
+  request.tau = "plus:1,2";
+  auto reply = client->RoundTrip(SerializeSolveRequest(request));
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  auto response = ParseResponseLine(*reply);
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  ASSERT_EQ(response->status, "ok") << response->error;
+  EXPECT_NE(response->fingerprint.find("tau=tau_plus^1,2"), std::string::npos)
+      << response->fingerprint;
+  ASSERT_EQ(response->results.size(), 5u);
+  for (const FactScore& score : response->results) {
+    EXPECT_TRUE(score.exact);
+    EXPECT_EQ(score.algorithm, "min-max/all-hierarchical-dp");
+  }
+  server.Stop();
+
+  auto records = ReadJournal(journal_path);
+  ASSERT_TRUE(records.ok()) << records.status().ToString();
+  ASSERT_EQ(records->size(), 1u);
+  std::map<std::string, std::shared_ptr<const Database>> tenants;
+  tenants["fleet"] = std::make_shared<const Database>(MustParseDb(fleet_text));
+  auto replay = ReplayJournal(*records, tenants);
+  ASSERT_TRUE(replay.ok()) << replay.status().ToString();
+  EXPECT_EQ(replay->fingerprint_matches, 1u);
+  const auto& replayed = replay->results[0];
+  ASSERT_EQ(replayed.size(), response->results.size());
+  for (size_t f = 0; f < replayed.size(); ++f) {
+    const auto& [fact, result] = replayed[f];
+    EXPECT_EQ(response->results[f].fact, fact);
+    EXPECT_EQ(response->results[f].exact_value, result.exact.ToString());
+    EXPECT_TRUE(SameBits(response->results[f].value, result.approximation));
+    EXPECT_EQ(response->results[f].algorithm, result.algorithm);
+  }
+  std::remove(journal_path.c_str());
+}
+
 // Concurrent mutation parity: several client threads hammer one tenant
 // with insert_fact / delete_fact (each interleaved with solves whose
 // responses are deliberately not compared — a concurrent solve races the

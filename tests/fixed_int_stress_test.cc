@@ -64,7 +64,9 @@ TEST(FixedIntStressTest, FromBigIntRejectsOnlyOutOfRange) {
           << "k=" << k << " sign=" << sign;
       ASSERT_TRUE(FitsFixed(inside) ==
                   FixedInt::FromBigInt(inside, &fixed));
-      if (FitsFixed(inside)) EXPECT_EQ(fixed.ToBigInt(), inside);
+      if (FitsFixed(inside)) {
+        EXPECT_EQ(fixed.ToBigInt(), inside);
+      }
     }
   }
   for (int trial = 0; trial < 500; ++trial) {
@@ -205,7 +207,9 @@ TEST(CountValueStressTest, EscapeIsMonotoneAndExactAtTheBoundary) {
     acc.AddProduct(acc, CountValue(1));  // acc += acc  (doubling)
     shadow += shadow;
     ASSERT_EQ(acc.ToBigInt(), shadow);
-    if (seen_big) EXPECT_TRUE(acc.is_big());
+    if (seen_big) {
+      EXPECT_TRUE(acc.is_big());
+    }
     seen_big = seen_big || acc.is_big();
   }
   EXPECT_TRUE(seen_big);

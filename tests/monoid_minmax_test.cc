@@ -13,7 +13,6 @@
 #include "shapcq/query/parser.h"
 #include "shapcq/shapley/brute_force.h"
 #include "shapcq/shapley/min_max.h"
-#include "shapcq/shapley/min_max_monoid.h"
 #include "shapcq/shapley/score.h"
 #include "shapcq/util/combinatorics.h"
 #include "shapcq/workload/generators.h"
@@ -44,8 +43,7 @@ TEST(MonoidMinMaxTest, MaxOfSumOverCartesianProduct) {
     Database db = RandomDatabaseForQuery(q, options);
     AggregateQuery reference{q, MakeMonoidTau(MonoidKind::kPlus, {0, 1}),
                              AggregateFunction::Max()};
-    auto dp = MonoidMinMaxSumK(q, MonoidKind::kPlus, {0, 1}, /*is_max=*/true,
-                               db);
+    auto dp = MinMaxSumK(reference, db);
     auto bf = BruteForceSumK(reference, db);
     ASSERT_TRUE(dp.ok()) << dp.status().ToString();
     ASSERT_TRUE(bf.ok());
@@ -64,7 +62,7 @@ TEST(MonoidMinMaxTest, MaxOfMaxOverCartesianProduct) {
   Database db = RandomDatabaseForQuery(q, options);
   AggregateQuery reference{q, MakeMonoidTau(MonoidKind::kMax, {0, 1}),
                            AggregateFunction::Max()};
-  auto dp = MonoidMinMaxSumK(q, MonoidKind::kMax, {0, 1}, true, db);
+  auto dp = MinMaxSumK(reference, db);
   auto bf = BruteForceSumK(reference, db);
   ASSERT_TRUE(dp.ok());
   for (size_t k = 0; k < bf->size(); ++k) EXPECT_EQ((*dp)[k], (*bf)[k]);
@@ -79,8 +77,7 @@ TEST(MonoidMinMaxTest, ThreeComponentSum) {
     Database db = RandomDatabaseForQuery(q, options);
     AggregateQuery reference{q, MakeMonoidTau(MonoidKind::kPlus, {0, 1, 2}),
                              AggregateFunction::Max()};
-    auto dp =
-        MonoidMinMaxSumK(q, MonoidKind::kPlus, {0, 1, 2}, true, db);
+    auto dp = MinMaxSumK(reference, db);
     auto bf = BruteForceSumK(reference, db);
     ASSERT_TRUE(dp.ok()) << dp.status().ToString();
     for (size_t k = 0; k < bf->size(); ++k) {
@@ -100,7 +97,7 @@ TEST(MonoidMinMaxTest, MixedConnectedAndProduct) {
     Database db = RandomDatabaseForQuery(q, options);
     AggregateQuery reference{q, MakeMonoidTau(MonoidKind::kPlus, {0, 1}),
                              AggregateFunction::Max()};
-    auto dp = MonoidMinMaxSumK(q, MonoidKind::kPlus, {0, 1}, true, db);
+    auto dp = MinMaxSumK(reference, db);
     auto bf = BruteForceSumK(reference, db);
     ASSERT_TRUE(dp.ok()) << dp.status().ToString();
     for (size_t k = 0; k < bf->size(); ++k) {
@@ -117,7 +114,9 @@ TEST(MonoidMinMaxTest, SinglePositionAgreesWithLocalizedEngine) {
   options.seed = 17;
   Database db = RandomDatabaseForQuery(q, options);
   AggregateQuery localized{q, MakeTauId(0), AggregateFunction::Max()};
-  auto monoid = MonoidMinMaxSumK(q, MonoidKind::kPlus, {0}, true, db);
+  AggregateQuery fold{q, MakeMonoidTau(MonoidKind::kPlus, {0}),
+                      AggregateFunction::Max()};
+  auto monoid = MinMaxSumK(fold, db);
   auto classic = MinMaxSumK(localized, db);
   ASSERT_TRUE(monoid.ok());
   ASSERT_TRUE(classic.ok());
@@ -137,8 +136,7 @@ TEST(MonoidMinMaxTest, MinDuals) {
   {
     AggregateQuery reference{q, MakeMonoidTau(MonoidKind::kPlus, {0, 1}),
                              AggregateFunction::Min()};
-    auto dp = MonoidMinMaxSumK(q, MonoidKind::kPlus, {0, 1},
-                               /*is_max=*/false, db);
+    auto dp = MinMaxSumK(reference, db);
     auto bf = BruteForceSumK(reference, db);
     ASSERT_TRUE(dp.ok()) << dp.status().ToString();
     for (size_t k = 0; k < bf->size(); ++k) EXPECT_EQ((*dp)[k], (*bf)[k]);
@@ -147,7 +145,7 @@ TEST(MonoidMinMaxTest, MinDuals) {
   {
     AggregateQuery reference{q, MakeMonoidTau(MonoidKind::kMin, {0, 1}),
                              AggregateFunction::Min()};
-    auto dp = MonoidMinMaxSumK(q, MonoidKind::kMin, {0, 1}, false, db);
+    auto dp = MinMaxSumK(reference, db);
     auto bf = BruteForceSumK(reference, db);
     ASSERT_TRUE(dp.ok()) << dp.status().ToString();
     for (size_t k = 0; k < bf->size(); ++k) EXPECT_EQ((*dp)[k], (*bf)[k]);
@@ -159,18 +157,27 @@ TEST(MonoidMinMaxTest, RejectsInvalidCombos) {
   Database db;
   db.AddEndogenous("R", {Value(1)});
   db.AddEndogenous("T", {Value(2)});
+  auto fold = [](const ConjunctiveQuery& query, MonoidKind kind,
+                 AggregateFunction alpha) {
+    return AggregateQuery{query, MakeMonoidTau(kind, {0, 1}), alpha};
+  };
   // Max with a non-increasing monoid.
-  EXPECT_FALSE(MonoidMinMaxSumK(q, MonoidKind::kMin, {0, 1}, true, db).ok());
+  EXPECT_FALSE(
+      MinMaxSumK(fold(q, MonoidKind::kMin, AggregateFunction::Max()), db)
+          .ok());
   // Min with a non-decreasing-only monoid.
-  EXPECT_FALSE(MonoidMinMaxSumK(q, MonoidKind::kMax, {0, 1}, false, db).ok());
+  EXPECT_FALSE(
+      MinMaxSumK(fold(q, MonoidKind::kMax, AggregateFunction::Min()), db)
+          .ok());
   // Non-all-hierarchical query.
   ConjunctiveQuery rst = MustParseQuery("Q(x, y) <- R(x), S(x, y), T(y)");
   Database db2;
   db2.AddEndogenous("R", {Value(1)});
   db2.AddEndogenous("S", {Value(1), Value(2)});
   db2.AddEndogenous("T", {Value(2)});
-  EXPECT_FALSE(MonoidMinMaxSumK(rst, MonoidKind::kPlus, {0, 1}, true, db2)
-                   .ok());
+  EXPECT_FALSE(
+      MinMaxSumK(fold(rst, MonoidKind::kPlus, AggregateFunction::Max()), db2)
+          .ok());
 }
 
 TEST(MonoidMinMaxTest, ShapleyScoresThroughMonoidEngine) {
@@ -181,12 +188,8 @@ TEST(MonoidMinMaxTest, ShapleyScoresThroughMonoidEngine) {
   Database db = RandomDatabaseForQuery(q, options);
   AggregateQuery reference{q, MakeMonoidTau(MonoidKind::kPlus, {0, 1}),
                            AggregateFunction::Max()};
-  SumKEngine engine = [&q](const AggregateQuery&, const Database& d,
-                           const SolverOptions&) {
-    return MonoidMinMaxSumK(q, MonoidKind::kPlus, {0, 1}, true, d);
-  };
   for (FactId f : db.EndogenousFacts()) {
-    auto dp = ScoreViaSumK(reference, db, f, engine);
+    auto dp = ScoreViaSumK(reference, db, f, MinMaxSumK);
     auto bf = BruteForceScore(reference, db, f);
     ASSERT_TRUE(dp.ok());
     EXPECT_EQ(*dp, *bf);

@@ -24,7 +24,6 @@
 #include "shapcq/shapley/session.h"
 #include "shapcq/shapley/brute_force.h"
 #include "shapcq/shapley/min_max.h"
-#include "shapcq/shapley/min_max_monoid.h"
 #include "shapcq/shapley/score.h"
 #include "shapcq/shapley/solver_options.h"
 #include "shapcq/shapley/sum_count.h"
@@ -154,7 +153,7 @@ TEST(MinMaxScoreAllTest, RefusesExactlyLikeTheSeriesEngine) {
 }
 
 // ---------------------------------------------------------------------------
-// MinMaxMonoidScoreAll (Section 7.3 monotone-monoid extension)
+// MinMaxScoreAll with monoid value functions (Section 7.3 extension)
 // ---------------------------------------------------------------------------
 
 Database MonoidDb(int n) {
@@ -166,7 +165,7 @@ Database MonoidDb(int n) {
   return db;
 }
 
-TEST(MinMaxMonoidScoreAllTest, MatchesPerFactOnCrossProduct) {
+TEST(MinMaxScoreAllMonoidTest, MatchesPerFactOnCrossProduct) {
   ConjunctiveQuery q = MustParseQuery("Q(x, z) <- R(i, x), T(j, z)");
   for (int n : {3, 5}) {
     Database db = MonoidDb(n);
@@ -178,75 +177,95 @@ TEST(MinMaxMonoidScoreAllTest, MatchesPerFactOnCrossProduct) {
                           Case{MonoidKind::kMax, true},
                           Case{MonoidKind::kPlus, false},
                           Case{MonoidKind::kMin, false}}) {
-      SumKEngine engine = [&q, &c](const AggregateQuery&, const Database& d,
-                                   const SolverOptions&) {
-        return MonoidMinMaxSumK(q, c.kind, {0, 1}, c.is_max, d);
-      };
       AggregateQuery reference{
           q, MakeMonoidTau(c.kind, {0, 1}),
           c.is_max ? AggregateFunction::Max() : AggregateFunction::Min()};
       for (ScoreKind kind : {ScoreKind::kShapley, ScoreKind::kBanzhaf}) {
-        ExpectMatchesPerFact(
-            MinMaxMonoidScoreAll(q, c.kind, {0, 1}, c.is_max, db,
-                                 Options(kind)),
-            reference, db, engine, kind,
-            "monoid n=" + std::to_string(n));
+        ExpectMatchesPerFact(MinMaxScoreAll(reference, db, Options(kind)),
+                             reference, db, MinMaxSumK, kind,
+                             "monoid n=" + std::to_string(n));
       }
     }
   }
 }
 
-TEST(MinMaxMonoidScoreAllTest, MatchesPerFactOnConnectedQuery) {
+TEST(MinMaxScoreAllMonoidTest, MatchesPerFactOnConnectedQuery) {
   // Connected all-hierarchical query: the top level is a root split, not
-  // a cross product, so this exercises the generic leave-one-out path
-  // instead of the pushed-functional cross specialization.
+  // a cross product.
   ConjunctiveQuery q = MustParseQuery("Q(x, y) <- R(x, y), S(y)");
   Database db;
   for (int i = 0; i < 5; ++i) {
     db.AddEndogenous("R", {Value(i % 3), Value(i)});
     db.AddFact("S", {Value(i)}, /*endogenous=*/i % 2 == 0);
   }
-  SumKEngine engine = [&q](const AggregateQuery&, const Database& d,
-                           const SolverOptions&) {
-    return MonoidMinMaxSumK(q, MonoidKind::kPlus, {0, 1}, /*is_max=*/true, d);
-  };
   AggregateQuery reference{q, MakeMonoidTau(MonoidKind::kPlus, {0, 1}),
                            AggregateFunction::Max()};
   for (ScoreKind kind : {ScoreKind::kShapley, ScoreKind::kBanzhaf}) {
-    ExpectMatchesPerFact(
-        MinMaxMonoidScoreAll(q, MonoidKind::kPlus, {0, 1}, /*is_max=*/true,
-                             db, Options(kind)),
-        reference, db, engine, kind, "monoid connected");
+    ExpectMatchesPerFact(MinMaxScoreAll(reference, db, Options(kind)),
+                         reference, db, MinMaxSumK, kind, "monoid connected");
   }
 }
 
-TEST(MinMaxMonoidScoreAllTest, MatchesBruteForceWithIrrelevantFacts) {
+TEST(MinMaxScoreAllMonoidTest, MatchesBruteForceWithIrrelevantFacts) {
   ConjunctiveQuery q = MustParseQuery("Q(x, z) <- R(i, x), T(j, z)");
   Database db = MonoidDb(3);
   db.AddEndogenous("U", {Value(7)});  // never joins: exact-zero fast path
-  AggregateQuery reference{q, MakeMonoidTau(MonoidKind::kPlus, {0, 1}),
-                           AggregateFunction::Max()};
-  auto batched = MinMaxMonoidScoreAll(q, MonoidKind::kPlus, {0, 1},
-                                      /*is_max=*/true, db);
-  auto oracle = BruteForceScoreAll(reference, db, ScoreKind::kShapley);
-  ASSERT_TRUE(batched.ok()) << batched.status().ToString();
-  ASSERT_TRUE(oracle.ok());
-  ASSERT_EQ(batched->size(), oracle->size());
-  for (size_t i = 0; i < batched->size(); ++i) {
-    EXPECT_EQ((*batched)[i].first, (*oracle)[i].first);
-    EXPECT_EQ((*batched)[i].second, (*oracle)[i].second)
-        << "fact " << (*batched)[i].first;
+  // Tombstones leave gaps in the FactId space that scores must keep.
+  Database tombstoned = MonoidDb(4);
+  tombstoned.AddEndogenous("U", {Value(7)});
+  ASSERT_TRUE(tombstoned.DeleteFact(2).ok());
+  ASSERT_TRUE(tombstoned.DeleteFact(5).ok());
+  struct Case {
+    const Database* db;
+    MonoidKind kind;
+    AggregateFunction alpha;
+  };
+  for (const Case& c :
+       {Case{&db, MonoidKind::kPlus, AggregateFunction::Max()},
+        Case{&tombstoned, MonoidKind::kPlus, AggregateFunction::Min()},
+        Case{&tombstoned, MonoidKind::kMin, AggregateFunction::Min()}}) {
+    AggregateQuery reference{q, MakeMonoidTau(c.kind, {0, 1}), c.alpha};
+    auto batched = MinMaxScoreAll(reference, *c.db);
+    ASSERT_TRUE(batched.ok()) << batched.status().ToString();
+    std::vector<FactId> endo = c.db->EndogenousFacts();
+    ASSERT_EQ(batched->size(), endo.size());
+    for (size_t i = 0; i < endo.size(); ++i) {
+      EXPECT_EQ((*batched)[i].first, endo[i]);
+      auto oracle = BruteForceScore(reference, *c.db, endo[i]);
+      ASSERT_TRUE(oracle.ok());
+      EXPECT_EQ((*batched)[i].second, *oracle)
+          << reference.ToString() << " fact " << endo[i];
+    }
   }
 }
 
-TEST(MinMaxMonoidScoreAllTest, RefusesExactlyLikeTheSeriesEngine) {
+TEST(MinMaxScoreAllMonoidTest, SessionRoutesMonoidMaxToTheMinMaxDp) {
+  ConjunctiveQuery q = MustParseQuery("Q(x, z) <- R(i, x), T(j, z)");
+  Database db = MonoidDb(4);
+  AggregateQuery a{q, MakeMonoidTau(MonoidKind::kPlus, {0, 1}),
+                   AggregateFunction::Max()};
+  SolverSession session(a, db);
+  auto all = session.ComputeAll();
+  ASSERT_TRUE(all.ok()) << all.status().ToString();
+  auto batched = MinMaxScoreAll(a, db);
+  ASSERT_TRUE(batched.ok());
+  ASSERT_EQ(all->size(), batched->size());
+  for (size_t i = 0; i < all->size(); ++i) {
+    const SolveResult& result = (*all)[i].second;
+    EXPECT_EQ(result.algorithm, "min-max/all-hierarchical-dp");
+    EXPECT_TRUE(result.is_exact);
+    EXPECT_EQ(result.exact, (*batched)[i].second);
+  }
+}
+
+TEST(MinMaxScoreAllMonoidTest, RefusesExactlyLikeTheSeriesEngine) {
   ConjunctiveQuery q = MustParseQuery("Q(x, z) <- R(i, x), T(j, z)");
   Database db = MonoidDb(2);
   // Max with a non-decreasing monoid is required.
-  auto batched = MinMaxMonoidScoreAll(q, MonoidKind::kMin, {0, 1},
-                                      /*is_max=*/true, db);
-  auto series = MonoidMinMaxSumK(q, MonoidKind::kMin, {0, 1},
-                                 /*is_max=*/true, db);
+  AggregateQuery a{q, MakeMonoidTau(MonoidKind::kMin, {0, 1}),
+                   AggregateFunction::Max()};
+  auto batched = MinMaxScoreAll(a, db);
+  auto series = MinMaxSumK(a, db);
   ASSERT_FALSE(batched.ok());
   ASSERT_FALSE(series.ok());
   EXPECT_EQ(batched.status().message(), series.status().message());

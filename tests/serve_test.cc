@@ -166,6 +166,10 @@ TEST(ProtocolTest, BuildsQueryAndOptions) {
 
   request.agg = "frobnicate";
   EXPECT_FALSE(BuildAggregateQuery(request).ok());
+  request.agg = "max";
+  request.tau = "plus:1,2";  // the head has one position
+  EXPECT_FALSE(BuildAggregateQuery(request).ok());
+  request.tau = "id:1";
   request.agg = "sum";
   request.method = "warp";
   EXPECT_FALSE(BuildSolverOptions(request).ok());
