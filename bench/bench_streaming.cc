@@ -7,11 +7,16 @@
 // SolverSession full solve on the same state as the non-incremental
 // reference.
 //
-// CI regression gate: on a 1-fact mutation the dirty-answer set must be
-// strictly smaller than the full answer set — if the delta path ever
-// degenerates into a full sweep, this bench exits nonzero.
+// CI regression gates, each exiting nonzero when broken:
+//  * on a 1-fact mutation the dirty-answer set must be strictly smaller
+//    than the full answer set (the delta path never degenerates into a
+//    full sweep);
+//  * at every rate the fresh solve (sum-count/linearity, the per-answer
+//    satisfaction-count DP) and the delta solve (lineage circuits) must
+//    return bitwise-identical exact scores on the same state.
 
 #include <cstdio>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
@@ -39,6 +44,20 @@ Database MakeDb(int n) {
   }
   db.AddEndogenous("S", {Value(2000)});
   return db;
+}
+
+using Scores = std::vector<std::pair<FactId, SolveResult>>;
+
+// Same facts in the same order, every score exact and equal.
+bool IdenticalExactScores(const Scores& x, const Scores& y) {
+  if (x.size() != y.size()) return false;
+  for (size_t i = 0; i < x.size(); ++i) {
+    if (x[i].first != y[i].first || !x[i].second.is_exact ||
+        !y[i].second.is_exact || x[i].second.exact != y[i].second.exact) {
+      return false;
+    }
+  }
+  return true;
 }
 
 }  // namespace
@@ -104,6 +123,7 @@ int main(int argc, char** argv) {
       double delta_ms = 0;
       uint64_t dirty_total = 0;
       uint64_t circuits_before = solver.stats().circuits_reused;
+      Scores delta_scores;
       for (int round = 0; round < rounds; ++round) {
         for (int m = 0; m < rate; ++m) {
           // Alternate inserts of fresh single-answer rows with deletes of
@@ -124,17 +144,21 @@ int main(int argc, char** argv) {
         delta_ms += bench::TimeMs([&] {
           auto r = solver.ComputeAll();
           if (!r.ok()) std::abort();
+          delta_scores = std::move(r).value();
         });
       }
       uint64_t circuits_kept =
           solver.stats().circuits_reused - circuits_before;
       // Reference: what the daemon's non-streaming path pays on the same
       // state — plan + solve from scratch.
+      Scores fresh_scores;
       double fresh_ms = bench::TimeMs([&] {
         SolverSession session(a, db);
         auto r = session.ComputeAll(SolverOptions{});
         if (!r.ok()) std::abort();
+        fresh_scores = std::move(r).value();
       });
+      const bool parity = IdenticalExactScores(delta_scores, fresh_scores);
       double avg_dirty = static_cast<double>(dirty_total) / rounds;
       double avg_delta_ms = delta_ms / rounds;
       std::printf("%6d %10.1f %12.3f %14llu %12.3f\n", rate, avg_dirty,
@@ -153,10 +177,19 @@ int main(int argc, char** argv) {
                static_cast<long long>(solver.stats().incremental_solves))
           .Int("full_rebuilds",
                static_cast<long long>(solver.stats().full_rebuilds))
+          .Bool("parity", parity)
           .Emit();
+      if (!parity) {
+        std::fprintf(stderr,
+                     "FAIL: n=%d rate=%d: the fresh solve and the delta "
+                     "solve disagree on the same state\n",
+                     n, rate);
+        return 1;
+      }
     }
     bench::Rule();
   }
-  std::printf("gate held on every size: 1-fact dirty set < answer set\n");
+  std::printf("gates held on every size: 1-fact dirty set < answer set; "
+              "fresh and delta scores bitwise identical\n");
   return 0;
 }

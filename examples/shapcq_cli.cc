@@ -138,6 +138,9 @@ int main(int argc, char** argv) {
   if (!alpha.ok()) return Fail(alpha.status().ToString());
   StatusOr<ValueFunctionPtr> tau = ParseTauSpec(tau_text);
   if (!tau.ok()) return Fail(tau.status().ToString());
+  StatusOr<AggregateQuery> built = MakeAggregateQuery(*query, *tau, *alpha);
+  if (!built.ok()) return Fail(built.status().ToString());
+  const AggregateQuery& a = *built;
 
   Database db;
   for (const auto& [spec, endogenous] : loads) {
@@ -166,7 +169,6 @@ int main(int argc, char** argv) {
   options.method = method->second;
   options.num_threads = threads;
 
-  AggregateQuery a{*query, *tau, *alpha};
   // The one plan acquisition of this process: timed, and its hit/miss is
   // what the provenance footer reports.
   bool cache_hit = false;

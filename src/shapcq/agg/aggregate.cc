@@ -138,4 +138,18 @@ std::string AggregateQuery::ToString() const {
          query.ToString();
 }
 
+StatusOr<AggregateQuery> MakeAggregateQuery(ConjunctiveQuery query,
+                                            ValueFunctionPtr tau,
+                                            AggregateFunction alpha) {
+  for (int position : tau->DependsOn()) {
+    if (position >= query.arity()) {
+      return InvalidArgumentError("tau reads head position " +
+                                  std::to_string(position + 1) +
+                                  " of a query with " +
+                                  std::to_string(query.arity()));
+    }
+  }
+  return AggregateQuery{std::move(query), std::move(tau), std::move(alpha)};
+}
+
 }  // namespace shapcq

@@ -15,6 +15,7 @@
 #include "shapcq/data/database.h"
 #include "shapcq/query/cq.h"
 #include "shapcq/util/rational.h"
+#include "shapcq/util/status.h"
 
 namespace shapcq {
 
@@ -86,6 +87,14 @@ struct AggregateQuery {
 
   std::string ToString() const;
 };
+
+// Builds A = α ∘ τ ∘ Q, refusing with INVALID_ARGUMENT a τ that reads a head
+// position past Q's arity (the engines assume τ fits the head and abort
+// otherwise). Every text-facing entry point — the CLI and the daemon's
+// BuildAggregateQuery — constructs through this.
+StatusOr<AggregateQuery> MakeAggregateQuery(ConjunctiveQuery query,
+                                            ValueFunctionPtr tau,
+                                            AggregateFunction alpha);
 
 }  // namespace shapcq
 

@@ -7,6 +7,7 @@
 #include "shapcq/lineage/circuit_cache.h"
 #include "shapcq/lineage/lineage.h"
 #include "shapcq/obs/trace.h"
+#include "shapcq/shapley/linearity.h"
 #include "shapcq/util/check.h"
 #include "shapcq/util/combinatorics.h"
 #include "shapcq/util/parallel.h"
@@ -98,62 +99,27 @@ StatusOr<AnswerCircuit> BuildAnswerCircuit(const AnswerLineage& lineage,
   return built;
 }
 
-// Per-fact contributions of one answer's indicator game, weighted by w.
-// m = |local vars|; null players (facts outside the lineage) contribute 0
-// and are simply absent from the result.
-std::vector<std::pair<int, Rational>> ScoreAnswerCircuit(
-    const AnswerCircuit& built, const Rational& weight, ScoreKind kind,
-    Combinatorics* comb) {
-  const int64_t m = static_cast<int64_t>(built.players.size());
+// The answer's game from its circuit's stratified model counts: with T[k]
+// the satisfying assignments of weight k and P_v[j] those of weight j that
+// set v, v pivots on P_v[k+1] − (T[k] − P_v[k]) coalitions of size k.
+// Players are the caller's literals (global player index or FactId).
+AnswerGame CircuitGame(const AnswerCircuit& built) {
+  const size_t m = built.players.size();
   SHAPCQ_CHECK(m >= 1);
   const CircuitModelCounts& counts = built.entry->counts;
   const std::vector<BigInt>& total = counts.by_size;
-  std::vector<std::pair<int, Rational>> contributions;
-  contributions.reserve(built.players.size());
-  if (kind == ScoreKind::kShapley) {
-    // Σ_{k=0}^{m−1} k!(m−1−k)!·(P[k+1] − (T[k] − P[k])) over the common
-    // denominator m! — one normalization per variable.
-    std::vector<BigInt> coefficient(static_cast<size_t>(m));
-    for (int64_t k = 0; k < m; ++k) {
-      coefficient[static_cast<size_t>(k)] =
-          comb->Factorial(k) * comb->Factorial(m - 1 - k);
-    }
-    const BigInt& denominator = comb->Factorial(m);
-    for (size_t v = 0; v < built.players.size(); ++v) {
-      const std::vector<BigInt>& with_v = counts.containing[v];
-      BigInt numerator;
-      for (int64_t k = 0; k < m; ++k) {
-        const size_t uk = static_cast<size_t>(k);
-        // A_v[k] − B_v[k]: sets of size k whose marginal is 1.
-        BigInt delta = with_v[uk + 1] - (total[uk] - with_v[uk]);
-        if (!delta.is_zero()) {
-          numerator += coefficient[uk] * delta;
-        }
-      }
-      if (numerator.is_zero()) continue;
-      contributions.emplace_back(
-          built.players[v], weight * Rational(std::move(numerator),
-                                              denominator));
-    }
-  } else {
-    // Banzhaf: (2·Σ_j P[j] − Σ_k T[k]) / 2^{m−1}.
-    BigInt total_models;
-    for (const BigInt& t : total) total_models += t;
-    const BigInt denominator =
-        BigInt::TwoPow(static_cast<uint64_t>(m > 1 ? m - 1 : 0));
-    for (size_t v = 0; v < built.players.size(); ++v) {
-      BigInt with_v_models;
-      for (const BigInt& p : counts.containing[v]) {
-        with_v_models += p;
-      }
-      BigInt numerator = with_v_models + with_v_models - total_models;
-      if (numerator.is_zero()) continue;
-      contributions.emplace_back(
-          built.players[v], weight * Rational(std::move(numerator),
-                                              denominator));
+  AnswerGame game;
+  game.players.assign(built.players.begin(), built.players.end());
+  game.pivots.resize(m);
+  for (size_t v = 0; v < m; ++v) {
+    const std::vector<BigInt>& with_v = counts.containing[v];
+    std::vector<BigInt>& pivots = game.pivots[v];
+    pivots.reserve(m);
+    for (size_t k = 0; k < m; ++k) {
+      pivots.push_back(with_v[k + 1] - (total[k] - with_v[k]));
     }
   }
-  return contributions;
+  return game;
 }
 
 }  // namespace
@@ -207,7 +173,7 @@ StatusOr<std::vector<std::pair<int, Rational>>> ScoreAnswerClauses(
   }
   StatusOr<AnswerCircuit> built = BuildAnswerCircuit(lineage, options, comb);
   if (!built.ok()) return built.status();
-  return ScoreAnswerCircuit(*built, weight, kind, comb);
+  return ScoreAnswerGame(CircuitGame(*built), weight, kind, comb);
 }
 
 StatusOr<std::vector<std::pair<FactId, Rational>>> LineageCircuitScoreAll(
@@ -215,8 +181,9 @@ StatusOr<std::vector<std::pair<FactId, Rational>>> LineageCircuitScoreAll(
     const SolverOptions& options) {
   Status shape = CheckLineageShape(a);
   if (!shape.ok()) return shape;
-  std::vector<FactId> endo = db.EndogenousFacts();
-  if (endo.empty()) return std::vector<std::pair<FactId, Rational>>{};
+  if (db.num_endogenous() == 0) {
+    return std::vector<std::pair<FactId, Rational>>{};
+  }
 
   // Span sites here run on the calling thread only (the sweep's thread);
   // the per-chunk circuit work below never touches options.trace.
@@ -228,67 +195,26 @@ StatusOr<std::vector<std::pair<FactId, Rational>>> LineageCircuitScoreAll(
                         static_cast<int64_t>(lineage.players.size()));
   extract_span.End();
 
-  // The cheap per-answer work (weights, constant detection) runs serially
-  // so failures land on exactly the answer a serial sweep would hit first.
-  struct AnswerTask {
-    const AnswerLineage* lineage;
-    Rational weight;
-  };
-  std::vector<AnswerTask> tasks;
-  tasks.reserve(lineage.answers.size());
+  std::vector<const Tuple*> answers;
+  answers.reserve(lineage.answers.size());
   for (const AnswerLineage& answer : lineage.answers) {
-    if (ConstantTrue(answer)) continue;  // all facts are null players
-    Rational weight = AnswerWeight(a, answer.answer);
-    if (weight.is_zero()) continue;
-    tasks.push_back(AnswerTask{&answer, std::move(weight)});
+    answers.push_back(&answer.answer);
   }
-
-  // Shard per-answer circuits over contiguous answer chunks; slot t holds
-  // answer t's contributions (or its failure), so the outcome is
-  // independent of scheduling and bitwise-identical for every thread
-  // count — the merge below walks answers in order, and exact rational
-  // addition makes any grouping of the same terms canonical.
-  std::vector<StatusOr<std::vector<std::pair<int, Rational>>>> per_task(
-      tasks.size(), StatusOr<std::vector<std::pair<int, Rational>>>(
-                        UnsupportedError("unset")));
-  const int num_chunks = EffectiveThreadCount(
-      options.num_threads, static_cast<int64_t>(tasks.size()));
-  Span compile_span(options.trace, "lineage_compile");
-  compile_span.Annotate("tasks", static_cast<int64_t>(tasks.size()));
-  ParallelFor(
-      num_chunks,
-      [&](int64_t c) {
-        const auto [begin, end] =
-            ChunkBounds(static_cast<int64_t>(tasks.size()), num_chunks, c);
-        Combinatorics comb;
-        for (int64_t t = begin; t < end; ++t) {
-          const AnswerTask& task = tasks[static_cast<size_t>(t)];
-          StatusOr<AnswerCircuit> built =
-              BuildAnswerCircuit(*task.lineage, options.lineage, &comb);
-          if (!built.ok()) {
-            per_task[static_cast<size_t>(t)] = built.status();
-            continue;
-          }
-          per_task[static_cast<size_t>(t)] = ScoreAnswerCircuit(
-              *built, task.weight, options.score, &comb);
-        }
-      },
-      num_chunks);
-  compile_span.End();
-
-  std::vector<Rational> by_player(lineage.players.size());
-  for (size_t t = 0; t < per_task.size(); ++t) {
-    if (!per_task[t].ok()) return per_task[t].status();
-    for (auto& [player, contribution] : *per_task[t]) {
-      by_player[static_cast<size_t>(player)] += contribution;
+  auto count = [&](size_t t, Combinatorics* comb) -> StatusOr<AnswerGame> {
+    const AnswerLineage& answer = lineage.answers[t];
+    if (ConstantTrue(answer)) return AnswerGame{};  // all null players
+    StatusOr<AnswerCircuit> built =
+        BuildAnswerCircuit(answer, options.lineage, comb);
+    if (!built.ok()) return built.status();
+    AnswerGame game = CircuitGame(*built);
+    for (FactId& player : game.players) {
+      player = lineage.players[static_cast<size_t>(player)];
     }
-  }
-  std::vector<std::pair<FactId, Rational>> scores;
-  scores.reserve(endo.size());
-  for (size_t p = 0; p < lineage.players.size(); ++p) {
-    scores.emplace_back(lineage.players[p], std::move(by_player[p]));
-  }
-  return scores;
+    return game;
+  };
+  Span compile_span(options.trace, "lineage_compile");
+  compile_span.Annotate("tasks", static_cast<int64_t>(answers.size()));
+  return ScoreAnswersByLinearity(a, db, answers, count, options);
 }
 
 StatusOr<Rational> LineageCircuitScoreOne(const AggregateQuery& a,

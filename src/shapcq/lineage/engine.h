@@ -11,13 +11,15 @@
 // lineage DNF (lineage.h) — compiled into a decision-DNNF (circuit.h), on
 // which the counting-based algorithm of Deutch, Frost, Kimelfeld & Monet
 // computes EVERY fact's score from one bottom-up + one top-down counting
-// pass per circuit: with m lineage variables,
-//   Shapley_v = Σ_{k<m} k!(m−1−k)!/m! · (P_v[k+1] − (T[k] − P_v[k])),
-//   Banzhaf_v = (2·Σ_j P_v[j] − Σ_k T[k]) / 2^{m−1},
+// pass per circuit: with m lineage variables, v pivots on
+//   P_v[k+1] − (T[k] − P_v[k])   coalitions of size k < m,
 // where T[k] counts satisfying assignments of weight k and P_v[j] those of
-// weight j that set v (CircuitModelCounts). Restricting each answer to its
-// own lineage variables is sound because Shapley and Banzhaf are invariant
-// under adding null players.
+// weight j that set v (CircuitModelCounts). Those pivot counts are this
+// engine's per-answer counter for the shared Sum/Count loop
+// (shapley/linearity.h), which weights them at m players — never padded
+// to all n endogenous facts — and sums the answers. Restricting each
+// answer to its own lineage variables is sound because Shapley and
+// Banzhaf are invariant under adding null players.
 //
 // This makes exact attribution on the FP#P-hard side of the frontier
 // polynomial in the *circuit* size: cost tracks lineage structure, not the
@@ -72,10 +74,11 @@ class LineageStats {
   std::atomic<uint64_t> budget_fallbacks_{0};
 };
 
-// Batched scorer: one circuit per answer, every fact's score from one
-// counting pass per circuit, sharded over answers by options.num_threads
-// (per-answer contributions merge in answer order — bitwise-identical for
-// every thread count). Budget from options.lineage.
+// Batched scorer: one circuit per answer through the shared per-answer
+// loop (shapley/linearity.h), every fact's score from one counting pass
+// per circuit, sharded over answers by options.num_threads (per-answer
+// contributions merge in answer order — bitwise-identical for every
+// thread count). Budget from options.lineage.
 StatusOr<std::vector<std::pair<FactId, Rational>>> LineageCircuitScoreAll(
     const AggregateQuery& a, const Database& db, const SolverOptions& options);
 

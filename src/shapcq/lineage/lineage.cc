@@ -1,7 +1,6 @@
 #include "shapcq/lineage/lineage.h"
 
 #include <algorithm>
-#include <map>
 #include <utility>
 
 #include "shapcq/lineage/circuit.h"
@@ -18,47 +17,27 @@ LineageSet ExtractLineage(const ConjunctiveQuery& q, const Database& db) {
         static_cast<int>(p);
   }
 
-  // Group supports by answer over interned ids; answers materialize to
-  // Values once per distinct answer and sort by Tuple, giving the same
-  // canonical answer order as the evaluator-based engines.
-  IdHomomorphisms ids = EnumerateHomomorphismIds(q, db);
-  std::map<std::vector<ValueId>, std::vector<std::vector<int>>>
-      supports_by_answer;
-  for (size_t h = 0; h < ids.bindings.size(); ++h) {
-    std::vector<int> support;
-    for (FactId id : ids.used_facts[h]) {
-      int player = lineage.player_index[static_cast<size_t>(id)];
-      if (player >= 0) support.push_back(player);
+  for (AnswerHomomorphisms& group : GroupHomomorphismsByAnswer(q, db)) {
+    std::vector<std::vector<int>> supports;
+    supports.reserve(group.used_facts.size());
+    for (const std::vector<FactId>& used : group.used_facts) {
+      std::vector<int> support;
+      for (FactId id : used) {
+        int player = lineage.player_index[static_cast<size_t>(id)];
+        if (player >= 0) support.push_back(player);
+      }
+      // One homomorphism may use a fact in several atoms (self-joins):
+      // dedup the clause.
+      std::sort(support.begin(), support.end());
+      support.erase(std::unique(support.begin(), support.end()),
+                    support.end());
+      supports.push_back(std::move(support));
     }
-    // One homomorphism may use a fact in several atoms (self-joins):
-    // dedup the clause.
-    std::sort(support.begin(), support.end());
-    support.erase(std::unique(support.begin(), support.end()), support.end());
-    std::vector<ValueId> answer_ids;
-    answer_ids.reserve(ids.head_slots.size());
-    for (int slot : ids.head_slots) {
-      answer_ids.push_back(ids.bindings[h][static_cast<size_t>(slot)]);
-    }
-    supports_by_answer[std::move(answer_ids)].push_back(std::move(support));
-  }
-
-  std::vector<std::pair<Tuple, std::vector<std::vector<int>>>> entries;
-  entries.reserve(supports_by_answer.size());
-  for (auto& [answer_ids, supports] : supports_by_answer) {
-    Tuple answer;
-    answer.reserve(answer_ids.size());
-    for (ValueId id : answer_ids) answer.push_back(db.pool().value(id));
-    entries.emplace_back(std::move(answer), std::move(supports));
-  }
-  std::sort(entries.begin(), entries.end(),
-            [](const auto& x, const auto& y) { return x.first < y.first; });
-
-  for (auto& [answer, supports] : entries) {
     // Keep minimal supports only — shrinks the per-answer variable set
     // (the max_answer_vars budget gate) before compilation; the compiler
     // canonicalizes with the same shared helper.
     MinimizeClauses(&supports);
-    lineage.answers.push_back({std::move(answer), std::move(supports)});
+    lineage.answers.push_back({std::move(group.answer), std::move(supports)});
   }
   return lineage;
 }

@@ -9,12 +9,13 @@
 // Bienvenu, Figueira & Lafourcade reduce it further to model counting), so
 // the cost tracks lineage *structure* rather than the player count.
 //
-// Extraction rides the indexed id join (EnumerateHomomorphismIds): each
-// homomorphism's used facts arrive as dense ColumnStore fact ids, are
-// deduplicated per clause (one atom may match a fact twice under
-// self-joins), projected to endogenous player indices, and reduced to the
-// minimal supports per answer (non-minimal clauses are logically redundant
-// in a monotone DNF and only blow up compilation).
+// Extraction rides the indexed id join, grouped by answer
+// (GroupHomomorphismsByAnswer, query/evaluator.h — the same grouping the
+// sum-count engine uses): each homomorphism's used facts are projected to
+// endogenous player indices, deduplicated per clause (one atom may match a
+// fact twice under self-joins), and reduced to the minimal supports per
+// answer (non-minimal clauses are logically redundant in a monotone DNF
+// and only blow up compilation).
 
 #ifndef SHAPCQ_LINEAGE_LINEAGE_H_
 #define SHAPCQ_LINEAGE_LINEAGE_H_

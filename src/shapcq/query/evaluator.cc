@@ -342,12 +342,66 @@ class NaiveJoin {
   std::vector<Homomorphism> results_;
 };
 
+// The head-slot values of homomorphism h: its answer, over interned ids.
+std::vector<ValueId> AnswerIds(const IdHomomorphisms& ids, size_t h) {
+  std::vector<ValueId> answer;
+  answer.reserve(ids.head_slots.size());
+  for (int slot : ids.head_slots) {
+    answer.push_back(ids.bindings[h][static_cast<size_t>(slot)]);
+  }
+  return answer;
+}
+
+// The distinct answers among `answers` (id equality <=> Value equality),
+// materialized and sorted by Tuple: id order is not Value order, and the
+// tuple order is the one every caller relies on.
+std::vector<Tuple> SortedDistinctAnswers(
+    std::vector<std::vector<ValueId>> answers, const Database& db) {
+  std::sort(answers.begin(), answers.end());
+  answers.erase(std::unique(answers.begin(), answers.end()), answers.end());
+  std::vector<Tuple> out;
+  out.reserve(answers.size());
+  for (const std::vector<ValueId>& answer : answers) {
+    Tuple tuple;
+    tuple.reserve(answer.size());
+    for (ValueId id : answer) tuple.push_back(db.pool().value(id));
+    out.push_back(std::move(tuple));
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
 }  // namespace
 
 IdHomomorphisms EnumerateHomomorphismIds(const ConjunctiveQuery& q,
                                          const Database& db) {
   IdJoin join(q, db);
   return join.Run();
+}
+
+std::vector<AnswerHomomorphisms> GroupHomomorphismsByAnswer(
+    const ConjunctiveQuery& q, const Database& db) {
+  // Group over interned ids; answers materialize to Values once per
+  // distinct answer and then sort by Tuple.
+  IdHomomorphisms ids = EnumerateHomomorphismIds(q, db);
+  std::map<std::vector<ValueId>, std::vector<std::vector<FactId>>> by_answer;
+  for (size_t h = 0; h < ids.bindings.size(); ++h) {
+    by_answer[AnswerIds(ids, h)].push_back(std::move(ids.used_facts[h]));
+  }
+  std::vector<AnswerHomomorphisms> out;
+  out.reserve(by_answer.size());
+  for (auto& [answer_ids, used_facts] : by_answer) {
+    AnswerHomomorphisms group;
+    group.answer.reserve(answer_ids.size());
+    for (ValueId id : answer_ids) group.answer.push_back(db.pool().value(id));
+    group.used_facts = std::move(used_facts);
+    out.push_back(std::move(group));
+  }
+  std::sort(out.begin(), out.end(),
+            [](const AnswerHomomorphisms& x, const AnswerHomomorphisms& y) {
+              return x.answer < y.answer;
+            });
+  return out;
 }
 
 std::vector<Homomorphism> EnumerateHomomorphisms(const ConjunctiveQuery& q,
@@ -380,30 +434,12 @@ std::vector<Homomorphism> EnumerateHomomorphismsNaive(
 
 std::vector<Tuple> Evaluate(const ConjunctiveQuery& q, const Database& db) {
   IdHomomorphisms ids = EnumerateHomomorphismIds(q, db);
-  // Distinct answers over ids first (id equality <=> Value equality), then
-  // materialize and sort by Tuple for the historical deterministic order.
   std::vector<std::vector<ValueId>> answers;
   answers.reserve(ids.bindings.size());
-  for (const std::vector<ValueId>& slots : ids.bindings) {
-    std::vector<ValueId> answer;
-    answer.reserve(ids.head_slots.size());
-    for (int slot : ids.head_slots) {
-      answer.push_back(slots[static_cast<size_t>(slot)]);
-    }
-    answers.push_back(std::move(answer));
+  for (size_t h = 0; h < ids.bindings.size(); ++h) {
+    answers.push_back(AnswerIds(ids, h));
   }
-  std::sort(answers.begin(), answers.end());
-  answers.erase(std::unique(answers.begin(), answers.end()), answers.end());
-  std::vector<Tuple> out;
-  out.reserve(answers.size());
-  for (const std::vector<ValueId>& answer : answers) {
-    Tuple tuple;
-    tuple.reserve(answer.size());
-    for (ValueId id : answer) tuple.push_back(db.pool().value(id));
-    out.push_back(std::move(tuple));
-  }
-  std::sort(out.begin(), out.end());
-  return out;
+  return SortedDistinctAnswers(std::move(answers), db);
 }
 
 std::vector<Tuple> AnswersTouching(const ConjunctiveQuery& q,
@@ -418,27 +454,11 @@ std::vector<Tuple> AnswersTouching(const ConjunctiveQuery& q,
     IdJoin join(q, db);
     join.Pin(atom_index, fact);
     IdHomomorphisms ids = join.Run();
-    for (const std::vector<ValueId>& slots : ids.bindings) {
-      std::vector<ValueId> answer;
-      answer.reserve(ids.head_slots.size());
-      for (int slot : ids.head_slots) {
-        answer.push_back(slots[static_cast<size_t>(slot)]);
-      }
-      answers.push_back(std::move(answer));
+    for (size_t h = 0; h < ids.bindings.size(); ++h) {
+      answers.push_back(AnswerIds(ids, h));
     }
   }
-  std::sort(answers.begin(), answers.end());
-  answers.erase(std::unique(answers.begin(), answers.end()), answers.end());
-  std::vector<Tuple> out;
-  out.reserve(answers.size());
-  for (const std::vector<ValueId>& answer : answers) {
-    Tuple tuple;
-    tuple.reserve(answer.size());
-    for (ValueId id : answer) tuple.push_back(db.pool().value(id));
-    out.push_back(std::move(tuple));
-  }
-  std::sort(out.begin(), out.end());
-  return out;
+  return SortedDistinctAnswers(std::move(answers), db);
 }
 
 SubsetEvaluator::SubsetEvaluator(const ConjunctiveQuery& q,
@@ -451,24 +471,16 @@ SubsetEvaluator::SubsetEvaluator(const ConjunctiveQuery& q,
   for (int i = 0; i < num_players_; ++i) {
     player_index_[static_cast<size_t>(players_[static_cast<size_t>(i)])] = i;
   }
-  // Group homomorphisms by answer (over ids: no Value materialization in
-  // the loop); collect minimal endogenous support masks.
-  IdHomomorphisms ids = EnumerateHomomorphismIds(q, db);
-  std::map<std::vector<ValueId>, std::vector<uint64_t>> masks_by_answer;
-  for (size_t h = 0; h < ids.bindings.size(); ++h) {
-    uint64_t mask = 0;
-    for (FactId fact_id : ids.used_facts[h]) {
-      int player = player_index_[static_cast<size_t>(fact_id)];
-      if (player >= 0) mask |= uint64_t{1} << player;
+  for (AnswerHomomorphisms& group : GroupHomomorphismsByAnswer(q, db)) {
+    std::vector<uint64_t> masks;
+    for (const std::vector<FactId>& used : group.used_facts) {
+      uint64_t mask = 0;
+      for (FactId fact_id : used) {
+        int player = player_index_[static_cast<size_t>(fact_id)];
+        if (player >= 0) mask |= uint64_t{1} << player;
+      }
+      masks.push_back(mask);
     }
-    std::vector<ValueId> answer;
-    answer.reserve(ids.head_slots.size());
-    for (int slot : ids.head_slots) {
-      answer.push_back(ids.bindings[h][static_cast<size_t>(slot)]);
-    }
-    masks_by_answer[std::move(answer)].push_back(mask);
-  }
-  for (auto& [answer_ids, masks] : masks_by_answer) {
     // Keep only minimal masks (drop supersets) to speed up subset checks.
     std::sort(masks.begin(), masks.end(),
               [](uint64_t a, uint64_t b) {
@@ -487,16 +499,9 @@ SubsetEvaluator::SubsetEvaluator(const ConjunctiveQuery& q,
       }
       if (!dominated) minimal.push_back(mask);
     }
-    Tuple answer;
-    answer.reserve(answer_ids.size());
-    for (ValueId id : answer_ids) answer.push_back(db.pool().value(id));
-    answers_.push_back(AnswerInfo{std::move(answer), std::move(minimal)});
+    answers_.push_back(
+        AnswerInfo{std::move(group.answer), std::move(minimal)});
   }
-  // Id order is not Value order; restore the historical sort by answer.
-  std::sort(answers_.begin(), answers_.end(),
-            [](const AnswerInfo& a, const AnswerInfo& b) {
-              return a.answer < b.answer;
-            });
 }
 
 int SubsetEvaluator::PlayerIndex(FactId id) const {

@@ -72,6 +72,20 @@ struct IdHomomorphisms {
 IdHomomorphisms EnumerateHomomorphismIds(const ConjunctiveQuery& q,
                                          const Database& db);
 
+// One answer of Q over D with the facts each of its homomorphisms uses.
+struct AnswerHomomorphisms {
+  Tuple answer;
+  // Per homomorphism producing `answer`: its used facts, one per atom in
+  // atom order (a fact repeats when several atoms match it).
+  std::vector<std::vector<FactId>> used_facts;
+};
+
+// The homomorphisms of Q over D grouped by answer, in one indexed join.
+// Answers are distinct and sorted by tuple (Evaluate's order), so every
+// per-answer engine walks one canonical answer layout.
+std::vector<AnswerHomomorphisms> GroupHomomorphismsByAnswer(
+    const ConjunctiveQuery& q, const Database& db);
+
 // Enumerates all homomorphisms from Q to D (id join underneath; bindings
 // are materialized back to Values at the end).
 std::vector<Homomorphism> EnumerateHomomorphisms(const ConjunctiveQuery& q,

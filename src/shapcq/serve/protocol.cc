@@ -184,16 +184,8 @@ StatusOr<AggregateQuery> BuildAggregateQuery(const SolveRequest& request) {
   if (!alpha.ok()) return alpha.status();
   StatusOr<ValueFunctionPtr> tau = ParseTauSpec(request.tau);
   if (!tau.ok()) return tau.status();
-  for (int position : (*tau)->DependsOn()) {
-    if (position >= query->arity()) {
-      return InvalidArgumentError("tau reads head position " +
-                                  std::to_string(position + 1) +
-                                  " of a query with " +
-                                  std::to_string(query->arity()));
-    }
-  }
-  return AggregateQuery{std::move(query).value(), std::move(tau).value(),
-                        std::move(alpha).value()};
+  return MakeAggregateQuery(std::move(query).value(), std::move(tau).value(),
+                            std::move(alpha).value());
 }
 
 StatusOr<SolverOptions> BuildSolverOptions(const SolveRequest& request) {

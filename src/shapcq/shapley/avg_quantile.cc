@@ -312,7 +312,7 @@ class AvgQntSolver {
   std::unordered_map<std::string, std::vector<int>> positions_of_head_var_;
 };
 
-// sum_k series of a padded quintuple structure: the paper's Avg / Qnt_q
+// sum_k series of a quintuple structure: the paper's Avg / Qnt_q
 // formulas, accumulated in ascending anchor order — the exact order of
 // AvgQuantileSumK's tail, shared with the batched scorer so both produce
 // identical bits. The count-to-Rational conversion goes through the
@@ -453,7 +453,9 @@ StatusOr<std::vector<std::pair<FactId, Rational>>> AvgQuantileScoreAll(
   const std::vector<Rational> anchors(anchor_set.begin(), anchor_set.end());
   // Relevance is independent of endogenous flags and every scored fact is
   // itself relevant (irrelevant ones short-circuit to an exact 0), so one
-  // split serves every derived database.
+  // split serves every derived database. Irrelevant facts are null
+  // players, so the series run over the relevant players only
+  // (ScoreFromSumK reads the player count from the series length).
   RelevanceSplit split = SplitRelevantIndexed(a.query, db);
   std::vector<char> is_relevant(static_cast<size_t>(db.num_facts()), 0);
   for (FactId id : split.relevant.facts) {
@@ -471,11 +473,9 @@ StatusOr<std::vector<std::pair<FactId, Rational>>> AvgQuantileScoreAll(
     FactSubset relevant;
     relevant.db = &work;
     relevant.facts = split.relevant.facts;
-    AvgQntStructure<CountValue> top =
-        solver.Solve(a.query, relevant, solver.EmptyHead());
-    top = solver.Pad(std::move(top), split.irrelevant_endogenous);
-    SHAPCQ_CHECK(top.num_endogenous == n);
-    full_series = SeriesFromAvgQntStructure(top, anchors, a.alpha);
+    full_series = SeriesFromAvgQntStructure(
+        solver.Solve(a.query, relevant, solver.EmptyHead()), anchors,
+        a.alpha);
   }
   // Worker c owns the contiguous fact chunk [c·n/C, (c+1)·n/C) plus a
   // private database copy (the F_f flag flip must not race), binomial
@@ -505,12 +505,9 @@ StatusOr<std::vector<std::pair<FactId, Rational>>> AvgQuantileScoreAll(
           }
           // F_f: flag flip; same relevant subset.
           work.SetEndogenous(f, false);
-          AvgQntStructure<CountValue> top_f =
-              solver.Solve(a.query, relevant, solver.EmptyHead());
-          top_f = solver.Pad(std::move(top_f), split.irrelevant_endogenous);
-          SHAPCQ_CHECK(top_f.num_endogenous == n - 1);
-          SumKSeries series_f =
-              SeriesFromAvgQntStructure(top_f, anchors, a.alpha);
+          SumKSeries series_f = SeriesFromAvgQntStructure(
+              solver.Solve(a.query, relevant, solver.EmptyHead()), anchors,
+              a.alpha);
           work.SetEndogenous(f, true);
           SumKSeries series_g =
               RemovedSeriesFromIdentity(full_series, series_f);

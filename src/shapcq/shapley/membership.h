@@ -27,16 +27,20 @@
 
 namespace shapcq {
 
-// Counts over ALL endogenous facts of `db` (irrelevant facts pad the counts
-// binomially). Requires: q Boolean (or treated as Boolean), self-join-free,
-// hierarchical w.r.t. all its variables. Returns UNSUPPORTED otherwise.
+// Counts over ALL endogenous facts of `db`, length |D_n| + 1: the per-fact
+// sum_k series need the full player universe, so facts irrelevant to q pad
+// the counts binomially here. Requires: q Boolean (or treated as Boolean),
+// self-join-free, hierarchical w.r.t. all its variables. Returns
+// UNSUPPORTED otherwise.
 StatusOr<std::vector<BigInt>> SatisfactionCounts(const ConjunctiveQuery& q,
                                                  const Database& db);
 
 // Low-level entry point used by the per-aggregate dynamic programs: counts
-// over exactly the endogenous facts of `facts`, which must all match their
-// atom of `q` (no relevance splitting, no padding). `q` is treated as
-// Boolean and must be self-join-free and hierarchical; aborts otherwise.
+// over exactly the endogenous facts of `facts`, length (their number) + 1,
+// which must all match their atom of `q` (no relevance splitting, no
+// padding — the batched Sum/Count scorer passes one answer's facts and
+// scores them at that player count). `q` is treated as Boolean and must be
+// self-join-free and hierarchical; aborts otherwise.
 std::vector<BigInt> SatisfactionCountsOnSubset(const ConjunctiveQuery& q,
                                                const FactSubset& facts,
                                                Combinatorics* comb);

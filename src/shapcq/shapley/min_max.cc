@@ -460,8 +460,10 @@ StatusOr<SumKSeries> MinMaxSumK(const AggregateQuery& a, const Database& db,
 //      sum_k(A, D) = sum_k(A, G_f) + sum_{k−1}(A, F_f)
 //    (split the k-subsets of D_n by membership of f): exact rational
 //    subtraction on canonical forms, so no G solve runs at all.
-//  * Facts irrelevant to Q leave every answer set unchanged, so F and G
-//    series coincide and the score is an exact 0, emitted without the DP.
+//  * Facts irrelevant to Q leave every answer set unchanged: they are
+//    null players, so their score is an exact 0, emitted without the DP,
+//    and the series run over the relevant players only (ScoreFromSumK
+//    reads the player count from the series length).
 StatusOr<std::vector<std::pair<FactId, Rational>>> MinMaxScoreAll(
     const AggregateQuery& a, const Database& db,
     const SolverOptions& options) {
@@ -484,13 +486,10 @@ StatusOr<std::vector<std::pair<FactId, Rational>>> MinMaxScoreAll(
   relevant.db = &work;
   relevant.facts = split.relevant.facts;
   MaxLOO loo = solver.SolveTop(a.query, relevant, &work);
-  MaxStructure full = Pad(std::move(loo.full), split.irrelevant_endogenous,
-                          &comb);
-  SHAPCQ_CHECK(full.num_endogenous == n);
-  const SumKSeries full_series = solver.Series(full);
-  // Per-fact assembly shards over contiguous fact chunks (worker-private
-  // binomial caches; slot i holds fact endo[i], so the fan-out is
-  // deterministic and thread-count invariant).
+  const SumKSeries full_series = solver.Series(loo.full);
+  // Per-fact assembly shards over contiguous fact chunks (slot i holds
+  // fact endo[i], so the fan-out is deterministic and thread-count
+  // invariant).
   std::vector<std::pair<FactId, Rational>> scores(endo.size());
   const int num_chunks =
       EffectiveThreadCount(options.num_threads, static_cast<int64_t>(n));
@@ -499,7 +498,6 @@ StatusOr<std::vector<std::pair<FactId, Rational>>> MinMaxScoreAll(
       [&](int64_t c) {
         const auto [begin, end] =
             ChunkBounds(static_cast<int64_t>(endo.size()), num_chunks, c);
-        Combinatorics worker_comb;
         for (size_t i = static_cast<size_t>(begin);
              i < static_cast<size_t>(end); ++i) {
           const FactId f = endo[i];
@@ -509,10 +507,7 @@ StatusOr<std::vector<std::pair<FactId, Rational>>> MinMaxScoreAll(
           }
           auto it = loo.minus.find(f);
           SHAPCQ_CHECK(it != loo.minus.end());
-          const SumKSeries series_f = solver.Series(
-              Pad(std::move(it->second), split.irrelevant_endogenous,
-                  &worker_comb));
-          SHAPCQ_CHECK(series_f.size() == static_cast<size_t>(n));
+          const SumKSeries series_f = solver.Series(it->second);
           const SumKSeries series_g =
               RemovedSeriesFromIdentity(full_series, series_f);
           scores[i] = {f, ScoreFromSumK(series_f, series_g, options.score)};

@@ -1,19 +1,16 @@
 #include "shapcq/shapley/sum_count.h"
 
-#include <unordered_map>
+#include <algorithm>
 #include <utility>
 #include <vector>
 
 #include "shapcq/hierarchy/classification.h"
 #include "shapcq/query/decomposition.h"
 #include "shapcq/query/evaluator.h"
-#include "shapcq/shapley/dp_util.h"
 #include "shapcq/shapley/engine_registry.h"
+#include "shapcq/shapley/linearity.h"
 #include "shapcq/shapley/membership.h"
 #include "shapcq/util/check.h"
-#include "shapcq/util/combinatorics.h"
-#include "shapcq/util/fixed_int.h"
-#include "shapcq/util/parallel.h"
 
 namespace shapcq {
 
@@ -76,33 +73,28 @@ StatusOr<SumKSeries> SumCountSumK(const AggregateQuery& a, const Database& db,
 StatusOr<std::vector<std::pair<FactId, Rational>>> SumCountScoreAll(
     const AggregateQuery& a, const Database& db,
     const SolverOptions& options) {
-  const ScoreKind kind = options.score;
   Status shape = CheckSumCountShape(a);
   if (!shape.ok()) return shape;
-  const int64_t n = db.num_endogenous();
-  std::vector<FactId> endo = db.EndogenousFacts();
-  if (n == 0) return std::vector<std::pair<FactId, Rational>>{};
+  if (db.num_endogenous() == 0) {
+    return std::vector<std::pair<FactId, Rational>>{};
+  }
 
   // Equivalence with the per-fact path (ScoreViaSumK over SumCountSumK):
-  // by linearity, Shapley(f) = Σ_t w(t) · ScoreFromSumK(c(Q_t, F_f),
-  // c(Q_t, G_f)). Answers of F_f equal the answers of D (same fact set);
-  // answers of G_f are a subset, and for the missing ones c(Q_t, G_f) ≡ 0,
-  // so iterating over answers of D covers both series. Facts irrelevant to
-  // Q_t yield identical F/G counts, hence an exact zero term — they are
-  // skipped. All arithmetic is exact, so the reordering is value-preserving.
+  // both are Σ_t w(t) · (the fact's score in Q_t's membership game), and
+  // Q_t over E ∪ D_x only ever reads the facts U_t its homomorphisms use —
+  // every other fact is a null player, so the game over U_t's m_t
+  // endogenous facts at m_t-player weights has the same exact values.
   //
-  // The cheap per-answer work (binding, gates, weights) runs serially so
-  // the batch fails on exactly the answer the serial path would; the
-  // expensive accumulation shards over contiguous answer chunks below.
-  struct AnswerTask {
-    ConjunctiveQuery q_t;
-    Rational weight;
-  };
-  std::vector<AnswerTask> tasks;
-  for (const Tuple& answer : Evaluate(a.query, db)) {
-    ConjunctiveQuery q_t = BindAnswer(a.query, answer);
-    // Mirror the SatisfactionCounts gates so the batch fails exactly where
-    // the per-fact path would.
+  // Binding and the SatisfactionCounts gates run serially, so the batch
+  // fails on exactly the answer the serial path would.
+  const std::vector<AnswerHomomorphisms> groups =
+      GroupHomomorphismsByAnswer(a.query, db);
+  std::vector<ConjunctiveQuery> bound;
+  std::vector<const Tuple*> answers;
+  bound.reserve(groups.size());
+  answers.reserve(groups.size());
+  for (const AnswerHomomorphisms& group : groups) {
+    ConjunctiveQuery q_t = BindAnswer(a.query, group.answer);
     if (q_t.HasSelfJoin()) {
       return UnsupportedError(
           "satisfaction counts require a self-join-free CQ");
@@ -111,189 +103,55 @@ StatusOr<std::vector<std::pair<FactId, Rational>>> SumCountScoreAll(
       return UnsupportedError(
           "satisfaction counts require a hierarchical CQ: " + q_t.ToString());
     }
-    Rational weight = a.alpha.kind() == AggKind::kCount
-                          ? Rational(1)
-                          : a.tau->Evaluate(answer);
-    if (weight.is_zero()) continue;
-    tasks.push_back(AnswerTask{std::move(q_t), std::move(weight)});
+    bound.push_back(std::move(q_t));
+    answers.push_back(&group.answer);
   }
 
-  // Accumulated per-fact delta series: delta[f][k] =
-  //   Σ_t w(t) · (c_k(Q_t, F_f) − c_k(Q_t, G_f)),  k = 0..n−1.
-  // Integer answer weights (the common case) accumulate in fixed-width
-  // CountValue arithmetic (escaping to BigInt on overflow, still exact);
-  // fractional weights go to a separate Rational series. The split keeps
-  // gcd normalization and heap allocation out of the hot accumulation loop
-  // without changing the exact value of the sum.
-  struct DeltaSeries {
-    std::vector<CountValue> integral;  // Σ over integer-weight answers
-    SumKSeries fractional;             // Σ over fractional-weight answers
-  };
-  using DeltaMap = std::unordered_map<FactId, DeltaSeries>;
-
-  // Shard the per-answer accumulation: worker c owns the contiguous answer
-  // chunk [c·size/C, (c+1)·size/C), a private mutable database copy (the
-  // per-fact F_f flag flip must not race), a private Combinatorics cache,
-  // and a private delta map. Chunk boundaries depend only on the answer
-  // count, never on scheduling.
-  const int num_chunks = EffectiveThreadCount(
-      options.num_threads, static_cast<int64_t>(tasks.size()));
-  std::vector<DeltaMap> chunk_delta(static_cast<size_t>(num_chunks));
-  ParallelFor(
-      num_chunks,
-      [&](int64_t c) {
-        const auto [chunk_begin, chunk_end] =
-            ChunkBounds(static_cast<int64_t>(tasks.size()), num_chunks, c);
-        const size_t begin = static_cast<size_t>(chunk_begin);
-        const size_t end = static_cast<size_t>(chunk_end);
-        Database work = db;  // F_f is an O(1) flag flip on the private copy
-        Combinatorics comb;
-        DeltaMap& delta = chunk_delta[static_cast<size_t>(c)];
-        for (size_t t = begin; t < end; ++t) {
-          const ConjunctiveQuery& q_t = tasks[t].q_t;
-          const Rational& weight = tasks[t].weight;
-          // Hoisted once per answer: the integral-path weight factor in the
-          // fixed-width representation.
-          const CountValue weight_cv = weight.is_integer()
-                                           ? CountValue(weight.numerator())
-                                           : CountValue();
-          // Bitset relevance split over dense fact ids via the posting
-          // lists — O(matching facts) per answer, not a database scan.
-          RelevanceSplit split = SplitRelevantIndexed(q_t, work);
-          const int pad = split.irrelevant_endogenous;
-          for (FactId f : split.relevant.EndogenousFacts()) {
-            // F_f: f exogenous; same relevant subset, one flag flipped.
-            work.SetEndogenous(f, false);
-            std::vector<BigInt> counts_f =
-                SatisfactionCountsOnSubset(q_t, split.relevant, &comb);
-            // G_f: f removed; the flag no longer matters, only the subset.
-            FactSubset without;
-            without.db = &work;
-            without.facts.reserve(split.relevant.facts.size() - 1);
-            for (FactId id : split.relevant.facts) {
-              if (id != f) without.facts.push_back(id);
-            }
-            std::vector<BigInt> counts_g =
-                SatisfactionCountsOnSubset(q_t, without, &comb);
-            work.SetEndogenous(f, true);
-            std::vector<BigInt> diff = SubtractCounts(counts_f, counts_g);
-            diff = PadCounts(diff, pad, &comb);
-            SHAPCQ_CHECK(static_cast<int64_t>(diff.size()) == n);
-            DeltaSeries& acc = delta[f];
-            if (weight.is_integer()) {
-              if (acc.integral.empty()) {
-                acc.integral.assign(static_cast<size_t>(n), CountValue());
-              }
-              for (size_t k = 0; k < diff.size(); ++k) {
-                if (!diff[k].is_zero()) {
-                  acc.integral[k].AddProduct(weight_cv, diff[k]);
-                }
-              }
-            } else {
-              if (acc.fractional.empty()) {
-                acc.fractional.assign(static_cast<size_t>(n), Rational());
-              }
-              for (size_t k = 0; k < diff.size(); ++k) {
-                if (!diff[k].is_zero()) {
-                  acc.fractional[k] += weight * Rational(diff[k]);
-                }
-              }
-            }
-          }
-        }
-      },
-      num_chunks);
-
-  // Merge the per-worker maps in chunk (= answer) order. Exact rational /
-  // BigInt addition makes the merge value-preserving: any grouping of the
-  // same terms produces the same canonical Rational, so the result is
-  // bitwise-identical to the serial accumulation for every thread count.
-  DeltaMap delta;
-  if (num_chunks == 1) {
-    delta = std::move(chunk_delta[0]);
-  } else {
-    for (DeltaMap& part : chunk_delta) {
-      for (auto& [f, d] : part) {
-        DeltaSeries& acc = delta[f];
-        if (!d.integral.empty()) {
-          if (acc.integral.empty()) {
-            acc.integral = std::move(d.integral);
-          } else {
-            for (size_t k = 0; k < acc.integral.size(); ++k) {
-              acc.integral[k] += d.integral[k];
-            }
-          }
-        }
-        if (!d.fractional.empty()) {
-          if (acc.fractional.empty()) {
-            acc.fractional = std::move(d.fractional);
-          } else {
-            for (size_t k = 0; k < acc.fractional.size(); ++k) {
-              acc.fractional[k] += d.fractional[k];
-            }
-          }
-        }
+  // Answer t's game from the DP over U_t (endogenous and exogenous facts)
+  // and over U_t \ {f} per player f, i.e. G_f. F_f (f exogenous) follows
+  // from the partition identity c_{k+1}(U_t) = c_{k+1}(G_f) + c_k(F_f), so
+  // the pivots of f are c_k(F_f) − c_k(G_f) =
+  // c_{k+1}(U_t) − c_{k+1}(G_f) − c_k(G_f), with c_m(G_f) = 0.
+  auto count = [&](size_t t, Combinatorics* comb) -> StatusOr<AnswerGame> {
+    AnswerGame game;
+    FactSubset support;
+    support.db = &db;
+    for (const std::vector<FactId>& used : groups[t].used_facts) {
+      bool has_endogenous = false;
+      for (FactId id : used) {
+        has_endogenous = has_endogenous || db.fact(id).endogenous;
       }
+      // Alive on exogenous facts alone: every fact is a null player.
+      if (!has_endogenous) return game;
+      support.facts.insert(support.facts.end(), used.begin(), used.end());
     }
-  }
-
-  // Shapley: Σ_k q_k·d[k] with q_k = k!(n−k−1)!/n!. Summing the numerators
-  // k!(n−k−1)!·d[k] over the common denominator n! needs one normalization
-  // per fact instead of one per (fact, k) term; the value is unchanged
-  // (exact arithmetic, same sum).
-  Combinatorics comb;
-  std::vector<BigInt> shapley_numerator(static_cast<size_t>(n));
-  if (kind == ScoreKind::kShapley) {
-    for (int64_t k = 0; k < n; ++k) {
-      shapley_numerator[static_cast<size_t>(k)] =
-          comb.Factorial(k) * comb.Factorial(n - 1 - k);
+    std::sort(support.facts.begin(), support.facts.end());
+    support.facts.erase(
+        std::unique(support.facts.begin(), support.facts.end()),
+        support.facts.end());
+    const std::vector<BigInt> full =
+        SatisfactionCountsOnSubset(bound[t], support, comb);
+    FactSubset without;
+    without.db = &db;
+    for (FactId f : support.facts) {
+      if (!db.fact(f).endogenous) continue;
+      without.facts.clear();
+      for (FactId id : support.facts) {
+        if (id != f) without.facts.push_back(id);
+      }
+      const std::vector<BigInt> removed =
+          SatisfactionCountsOnSubset(bound[t], without, comb);
+      std::vector<BigInt> pivots(removed.size());
+      for (size_t k = 0; k < removed.size(); ++k) {
+        pivots[k] = full[k + 1] - removed[k];
+        if (k + 1 < removed.size()) pivots[k] -= removed[k + 1];
+      }
+      game.players.push_back(f);
+      game.pivots.push_back(std::move(pivots));
     }
-  }
-  const BigInt denominator = kind == ScoreKind::kShapley
-                                 ? comb.Factorial(n)
-                                 : BigInt::TwoPow(static_cast<uint64_t>(
-                                       n > 1 ? n - 1 : 0));
-  // Per-fact scoring reads the merged map and the precomputed coefficient
-  // tables only — slot i writes fact endo[i], so the fan-out is
-  // deterministic.
-  std::vector<std::pair<FactId, Rational>> scores(endo.size());
-  ParallelFor(
-      static_cast<int64_t>(endo.size()),
-      [&](int64_t i) {
-        FactId f = endo[static_cast<size_t>(i)];
-        Rational score;
-        auto it = delta.find(f);
-        if (it != delta.end()) {
-          const DeltaSeries& d = it->second;
-          CountValue numerator;
-          Rational fractional_sum;
-          for (int64_t k = 0; k < n; ++k) {
-            const size_t uk = static_cast<size_t>(k);
-            const BigInt& coeff = kind == ScoreKind::kShapley
-                                      ? shapley_numerator[uk]
-                                      : denominator;  // unused for Banzhaf
-            if (!d.integral.empty() && !d.integral[uk].is_zero()) {
-              if (kind == ScoreKind::kShapley) {
-                numerator.AddProduct(d.integral[uk], coeff);
-              } else {
-                numerator += d.integral[uk];
-              }
-            }
-            if (!d.fractional.empty() && !d.fractional[uk].is_zero()) {
-              fractional_sum += kind == ScoreKind::kShapley
-                                    ? Rational(coeff) * d.fractional[uk]
-                                    : d.fractional[uk];
-            }
-          }
-          score = Rational(numerator.ToBigInt(), denominator);
-          if (!fractional_sum.is_zero()) {
-            score += fractional_sum / Rational(denominator);
-          }
-        }
-        scores[static_cast<size_t>(i)] = {f, std::move(score)};
-      },
-      options.num_threads);
-  return scores;
+    return game;
+  };
+  return ScoreAnswersByLinearity(a, db, answers, count, options);
 }
 
 void RegisterSumCountEngine(EngineRegistry& registry) {

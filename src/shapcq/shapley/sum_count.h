@@ -26,16 +26,14 @@ StatusOr<SumKSeries> SumCountSumK(const AggregateQuery& a, const Database& db,
                                   const SolverOptions& options = {});
 
 // Batched all-facts scorer: the value every endogenous fact gets from the
-// per-fact sum_k path, but with the per-answer work shared. Each answer t
-// is bound to its Boolean query Q_t once, its relevance split is computed
-// once, and the two derived databases per fact (F: f exogenous, G: f
-// removed) are realized as an O(1) endogenous-flag flip / subset drop
-// instead of full database copies. Facts irrelevant to Q_t contribute an
-// exact 0 and are skipped. The per-answer accumulation shards over
-// options.num_threads workers (contiguous answer chunks, per-worker delta
-// maps merged in answer order). Results are identical to the per-fact path
-// and invariant under the thread count (exact rational arithmetic; only
-// the summation order differs).
+// per-fact sum_k path, computed per answer (linearity.h). Each answer t's
+// Boolean query Q_t is scored over only the facts t's homomorphisms use
+// (its m_t endogenous facts are the players, at m_t-player weights; every
+// other fact is a null player of Q_t's game): one satisfaction-count DP
+// over those facts plus one per player with it removed. Nothing is padded
+// to all n endogenous facts. Answers shard over options.num_threads
+// workers and merge in answer order, so the exact values are identical to
+// the per-fact path and invariant under the thread count.
 StatusOr<std::vector<std::pair<FactId, Rational>>> SumCountScoreAll(
     const AggregateQuery& a, const Database& db,
     const SolverOptions& options = {});

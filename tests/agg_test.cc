@@ -189,5 +189,30 @@ TEST(AggregateQueryTest, ToStringIsInformative) {
   EXPECT_EQ(a.ToString(), "Qnt_1/2 o tau_ReLU^1 o Q(x) <- R(x, y), S(y)");
 }
 
+TEST(AggregateQueryTest, MakeAggregateQueryRejectsTauPastTheHead) {
+  ConjunctiveQuery q = MustParseQuery("Q(x) <- R(x, y)");
+  StatusOr<AggregateQuery> fits =
+      MakeAggregateQuery(q, MakeTauId(0), AggregateFunction::Sum());
+  ASSERT_TRUE(fits.ok()) << fits.status().ToString();
+  EXPECT_EQ(fits->ToString(), "Sum o tau_id^1 o Q(x) <- R(x, y)");
+  // Head indexes are 0-based here: id:3 in spec text is MakeTauId(2).
+  for (const char* spec : {"id:3", "plus:1,2", "gt:2:5"}) {
+    StatusOr<ValueFunctionPtr> tau = ParseTauSpec(spec);
+    ASSERT_TRUE(tau.ok()) << spec;
+    StatusOr<AggregateQuery> a =
+        MakeAggregateQuery(q, *tau, AggregateFunction::Sum());
+    ASSERT_FALSE(a.ok()) << spec;
+    EXPECT_EQ(a.status().code(), StatusCode::kInvalidArgument) << spec;
+  }
+  StatusOr<AggregateQuery> a = MakeAggregateQuery(
+      q, *ParseTauSpec("id:3"), AggregateFunction::Sum());
+  EXPECT_EQ(a.status().message(), "tau reads head position 3 of a query with 1");
+  // A τ reading no position fits any head, the Boolean one included.
+  EXPECT_TRUE(MakeAggregateQuery(MustParseQuery("Q() <- R(x, y)"),
+                                 MakeConstantTau(R(1)),
+                                 AggregateFunction::Count())
+                  .ok());
+}
+
 }  // namespace
 }  // namespace shapcq

@@ -8,7 +8,9 @@
 //     series to c · satisfaction counts (membership engine);
 //   * Dup ∘ τ≡c = [#answers ≥ 2], matching the answer-count distribution;
 //   * closed forms (Props 4.2/4.4/5.2) vs the generic DPs;
-//   * Count == Sum with τ ≡ 1.
+//   * Count == Sum with τ ≡ 1;
+//   * the sum-count DP and the lineage circuits count the same
+//     per-answer games.
 
 #include <vector>
 
@@ -18,6 +20,7 @@
 #include "shapcq/agg/value_function.h"
 #include "shapcq/data/database.h"
 #include "shapcq/hierarchy/classification.h"
+#include "shapcq/lineage/engine.h"
 #include "shapcq/query/decomposition.h"
 #include "shapcq/query/parser.h"
 #include "shapcq/shapley/answer_counts.h"
@@ -28,6 +31,7 @@
 #include "shapcq/shapley/membership.h"
 #include "shapcq/shapley/min_max.h"
 #include "shapcq/shapley/score.h"
+#include "shapcq/shapley/solver_options.h"
 #include "shapcq/shapley/sum_count.h"
 #include "shapcq/util/combinatorics.h"
 
@@ -165,6 +169,71 @@ TEST(EngineScaleTest, EfficiencyAxiomViaEnginesOnly) {
     total += *ScoreViaSumK(a, db, f, MinMaxSumK);
   }
   EXPECT_EQ(total, a.Evaluate(db));  // A(D_x) = 0: no exogenous facts
+}
+
+// 546 endogenous facts under Q(x) <- R(x, y), S(y) over 221 answers:
+// x = 0..219 joins two endogenous S values (and the exogenous S(50) when
+// x % 4 == 0); every fifth x also joins a third S value through an
+// exogenous R fact; x = 1000 is alive on exogenous facts alone and also
+// has an endogenous (null-player) alternative. With `endogenous` false
+// only the exogenous facts are added (D_x).
+Database SumCountScaleDb(bool endogenous) {
+  Database db;
+  auto add = [&](bool endo, const std::string& relation, Tuple args) {
+    if (endo && endogenous) db.AddEndogenous(relation, std::move(args));
+    if (!endo) db.AddExogenous(relation, std::move(args));
+  };
+  for (int x = 0; x < 220; ++x) {
+    add(true, "R", {Value(x), Value(x % 50)});
+    add(true, "R", {Value(x), Value((7 * x + 3) % 50)});
+    if (x % 5 == 0) add(false, "R", {Value(x), Value((3 * x + 1) % 50)});
+    if (x % 4 == 0) add(true, "R", {Value(x), Value(50)});
+  }
+  for (int y = 0; y < 50; ++y) add(true, "S", {Value(y)});
+  add(false, "S", {Value(50)});
+  add(false, "R", {Value(1000), Value(60)});
+  add(false, "S", {Value(60)});
+  add(true, "R", {Value(1000), Value(1)});
+  return db;
+}
+
+TEST(EngineScaleTest, SumCountMatchesLineageCircuitAtScale) {
+  const Database db = SumCountScaleDb(/*endogenous=*/true);
+  ASSERT_GE(db.num_endogenous(), 500);
+  ConjunctiveQuery q = MustParseQuery("Q(x) <- R(x, y), S(y)");
+  // Fractional weights; the answer x = 7 weighs exactly 0.
+  ValueFunctionPtr tau = MakeCallbackTau(
+      [](const Tuple& t) {
+        return (Rational(t[0].AsRational()) - R(7)) / R(3);
+      },
+      {0}, "x_minus_7_thirds");
+  AggregateQuery a{q, tau, AggregateFunction::Sum()};
+  // Efficiency: the Shapley values add up to A(D) − A(D_x).
+  const Rational grand = a.Evaluate(db) - a.Evaluate(SumCountScaleDb(false));
+  ASSERT_FALSE(grand.is_zero());
+  for (ScoreKind kind : {ScoreKind::kShapley, ScoreKind::kBanzhaf}) {
+    for (int threads : {1, 8}) {
+      SolverOptions options;
+      options.score = kind;
+      options.num_threads = threads;
+      auto dp = SumCountScoreAll(a, db, options);
+      auto circuits = LineageCircuitScoreAll(a, db, options);
+      ASSERT_TRUE(dp.ok()) << dp.status().ToString();
+      ASSERT_TRUE(circuits.ok()) << circuits.status().ToString();
+      ASSERT_EQ(dp->size(), static_cast<size_t>(db.num_endogenous()));
+      ASSERT_EQ(dp->size(), circuits->size());
+      Rational total;
+      for (size_t i = 0; i < dp->size(); ++i) {
+        EXPECT_EQ((*dp)[i].first, (*circuits)[i].first);
+        EXPECT_EQ((*dp)[i].second, (*circuits)[i].second)
+            << "fact " << (*dp)[i].first << " threads " << threads;
+        total += (*dp)[i].second;
+      }
+      if (kind == ScoreKind::kShapley) {
+        EXPECT_EQ(total, grand);
+      }
+    }
+  }
 }
 
 }  // namespace

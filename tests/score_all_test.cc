@@ -58,6 +58,16 @@ void ExpectMatchesPerFact(
   }
 }
 
+// `db` plus facts of a relation Q does not mention: null players every
+// batched scorer must score an exact 0 without changing anyone else's
+// value (they drop out of the DP tables, unlike the per-fact series).
+Database WithUnmentionedRelation(Database db) {
+  db.AddEndogenous("Unmentioned", {Value(1)});
+  db.AddEndogenous("Unmentioned", {Value(2)});
+  db.AddExogenous("Unmentioned", {Value(3)});
+  return db;
+}
+
 // ---------------------------------------------------------------------------
 // MinMaxScoreAll (localized Min/Max DP)
 // ---------------------------------------------------------------------------
@@ -83,6 +93,13 @@ TEST(MinMaxScoreAllTest, MatchesPerFactOnRandomAllHierarchicalWorkloads) {
         ExpectMatchesPerFact(MinMaxScoreAll(a, db, Options(kind)), a, db,
                              MinMaxSumK, kind,
                              a.ToString() + " seed " + std::to_string(seed));
+      }
+      const Database wider = WithUnmentionedRelation(db);
+      for (ScoreKind kind : {ScoreKind::kShapley, ScoreKind::kBanzhaf}) {
+        ExpectMatchesPerFact(MinMaxScoreAll(a, wider, Options(kind)), a,
+                             wider, MinMaxSumK, kind,
+                             a.ToString() + " seed " + std::to_string(seed) +
+                                 " + unmentioned relation");
       }
     }
   }
@@ -298,6 +315,13 @@ TEST(AvgQuantileScoreAllTest, MatchesPerFactOnRandomQHierarchicalWorkloads) {
                              db, AvgQuantileSumK, kind,
                              a.ToString() + " seed " + std::to_string(seed));
       }
+      const Database wider = WithUnmentionedRelation(db);
+      for (ScoreKind kind : {ScoreKind::kShapley, ScoreKind::kBanzhaf}) {
+        ExpectMatchesPerFact(AvgQuantileScoreAll(a, wider, Options(kind)), a,
+                             wider, AvgQuantileSumK, kind,
+                             a.ToString() + " seed " + std::to_string(seed) +
+                                 " + unmentioned relation");
+      }
     }
   }
 }
@@ -372,8 +396,8 @@ TEST(SumCountScoreAllShardingTest, IdenticalAcrossThreadCounts) {
   }
 }
 
-// A fractional-weight τ exercises the Rational half of the per-worker
-// DeltaSeries merge (integer weights take the pure-BigInt half).
+// A fractional-weight τ: per-answer contributions with non-integer weights
+// must still merge to the same exact sums for every thread count.
 TEST(SumCountScoreAllShardingTest, FractionalWeightsIdenticalAcrossThreads) {
   ConjunctiveQuery q = MustParseQuery("Q(x) <- R(x), S(x, y)");
   Database db;
