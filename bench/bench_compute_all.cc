@@ -1,5 +1,9 @@
 // All-facts attribution throughput: per-fact Compute loop vs. the batched
-// SolverSession::ComputeAll, on generated Sum and Max workloads.
+// SolverSession::ComputeAll, on generated Sum, Max, Avg, CountDistinct and
+// HasDuplicates workloads. Avg, CountDistinct and HasDuplicates engines
+// have no scorer of their own: ComputeAll batches their sum_k through the
+// fact-level identity scorer (ScoreAllViaSumK), so this also checks that
+// scorer against the per-fact sum_k path.
 //
 // This is the acceptance benchmark for the batched engine scorers:
 // ComputeAll must produce bitwise-identical Rational scores while sharing
@@ -12,9 +16,10 @@
 //                          [seed]
 //   defaults: 200 50 1 for Sum (≈240 endogenous facts over R, S, T; the
 //   unary relations cap at domain_size+1 distinct facts, so the domain
-//   must grow with the requested fact count); the Max workload runs at a
-//   quarter of the Sum size (its DP is heavier per fact). --smoke shrinks
-//   to CI sizes.
+//   must grow with the requested fact count); the Max, CountDistinct and
+//   HasDuplicates workloads run at a quarter of the Sum size and Avg at a
+//   sixteenth (their DPs are heavier per fact). --smoke shrinks to CI
+//   sizes.
 
 #include <cstdio>
 #include <cstdlib>
@@ -124,6 +129,8 @@ int main(int argc, char** argv) {
   int domain_size = args.Int(1, args.smoke ? 8 : 50);
   uint64_t seed = static_cast<uint64_t>(args.Int64(2, 1));
 
+  const int quarter =
+      facts_per_relation >= 4 ? facts_per_relation / 4 : facts_per_relation;
   bool ok = true;
 
   {
@@ -145,14 +152,53 @@ int main(int argc, char** argv) {
     // twice over the whole database.
     ConjunctiveQuery q = MustParseQuery("Q(x, y) <- R(x, y), S(y)");
     RandomDatabaseOptions options;
-    options.facts_per_relation =
-        facts_per_relation >= 4 ? facts_per_relation / 4 : facts_per_relation;
+    options.facts_per_relation = quarter;
     options.domain_size = domain_size;
     options.endogenous_percent = 80;
     options.seed = seed;
     Database db = RandomDatabaseForQuery(q, options);
     AggregateQuery a{q, MakeTauId(0), AggregateFunction::Max()};
     ok = RunWorkload("compute-all throughput (Max)", a, db) && ok;
+  }
+
+  {
+    // All-hierarchical, localized τ: the Boolean reduction per τ-value.
+    ConjunctiveQuery q = MustParseQuery("Q(x, y) <- R(x, y), S(y)");
+    RandomDatabaseOptions options;
+    options.facts_per_relation = quarter;
+    options.domain_size = domain_size;
+    options.endogenous_percent = 80;
+    options.seed = seed;
+    Database db = RandomDatabaseForQuery(q, options);
+    AggregateQuery a{q, MakeTauId(0), AggregateFunction::CountDistinct()};
+    ok = RunWorkload("compute-all throughput (CountDistinct)", a, db) && ok;
+  }
+
+  {
+    // sq-hierarchical: the has-duplicates DP.
+    ConjunctiveQuery q = MustParseQuery("Q(x) <- R(x, y), S(x)");
+    RandomDatabaseOptions options;
+    options.facts_per_relation = quarter;
+    options.domain_size = domain_size;
+    options.endogenous_percent = 80;
+    options.seed = seed;
+    Database db = RandomDatabaseForQuery(q, options);
+    AggregateQuery a{q, MakeTauId(0), AggregateFunction::HasDuplicates()};
+    ok = RunWorkload("compute-all throughput (HasDuplicates)", a, db) && ok;
+  }
+
+  {
+    // q-hierarchical: the quintuple DP, the heaviest per fact.
+    ConjunctiveQuery q = MustParseQuery("Q(x) <- R(x, y), S(x)");
+    RandomDatabaseOptions options;
+    options.facts_per_relation =
+        facts_per_relation >= 64 ? facts_per_relation / 16 : 4;
+    options.domain_size = domain_size;
+    options.endogenous_percent = 80;
+    options.seed = seed;
+    Database db = RandomDatabaseForQuery(q, options);
+    AggregateQuery a{q, MakeTauId(0), AggregateFunction::Avg()};
+    ok = RunWorkload("compute-all throughput (Avg)", a, db) && ok;
   }
 
   return ok ? 0 : 1;

@@ -166,6 +166,8 @@ size_t GallopTo(const std::vector<FactId>& list, size_t lo, FactId target) {
       list.begin());
 }
 
+#if defined(SHAPCQ_SIMD_SSE2) || defined(SHAPCQ_SIMD_NEON)
+
 // Pairwise a ∩ b by galloping, a the smaller (driving) list.
 std::vector<FactId> IntersectPairGallop(const std::vector<FactId>& a,
                                         const std::vector<FactId>& b) {
@@ -180,8 +182,6 @@ std::vector<FactId> IntersectPairGallop(const std::vector<FactId>& a,
   }
   return out;
 }
-
-#if defined(SHAPCQ_SIMD_SSE2) || defined(SHAPCQ_SIMD_NEON)
 
 // Length skew beyond which galloping beats the block compare even with
 // SIMD: the block kernel is linear in |b|, galloping is |a|·log|b|.

@@ -289,9 +289,6 @@ void RegisterLineageCircuitEngine(EngineRegistry& registry) {
   provider.sum_k = LineageCircuitSumK;
   provider.score_one = LineageCircuitScoreOne;
   provider.score_all = LineageCircuitScoreAll;
-  // ScoreOne reruns the whole batch: once the batch failed for a
-  // database, a per-fact sweep would fail identically N more times.
-  provider.score_one_reruns_batch = true;
   registry.Register(std::move(provider));
 }
 

@@ -19,7 +19,6 @@
 #include "shapcq/util/check.h"
 #include "shapcq/util/combinatorics.h"
 #include "shapcq/util/fixed_int.h"
-#include "shapcq/util/parallel.h"
 
 namespace shapcq {
 
@@ -408,116 +407,6 @@ StatusOr<SumKSeries> AvgQuantileSumKBigInt(const AggregateQuery& a,
   return AvgQuantileSumKImpl<BigInt>(a, db);
 }
 
-StatusOr<std::vector<std::pair<FactId, Rational>>> AvgQuantileScoreAll(
-    const AggregateQuery& a, const Database& db,
-    const SolverOptions& options) {
-  // The gates of AvgQuantileSumK, in the same order, so the batch fails
-  // exactly where the per-fact path would.
-  if (a.alpha.kind() != AggKind::kAvg &&
-      a.alpha.kind() != AggKind::kQuantile) {
-    return UnsupportedError("AvgQuantileSumK handles Avg and Qnt_q only");
-  }
-  if (a.query.HasSelfJoin()) {
-    return UnsupportedError("Avg/Qnt requires a self-join-free CQ");
-  }
-  if (!IsQHierarchical(a.query)) {
-    return UnsupportedError("Avg/Qnt requires a q-hierarchical CQ: " +
-                            a.query.ToString());
-  }
-  std::vector<int> localization = LocalizationAtoms(a.query, *a.tau);
-  if (localization.empty()) {
-    return UnsupportedError("value function is not localized on any atom of " +
-                            a.query.ToString());
-  }
-  const std::string relation =
-      a.query.atoms()[static_cast<size_t>(localization[0])].relation;
-  const std::vector<FactId> endo = db.EndogenousFacts();
-  const int n = db.num_endogenous();
-  if (n == 0) return std::vector<std::pair<FactId, Rational>>{};
-  // Shared reduction state: anchors over the full database's answers.
-  // F_f has exactly D's facts, hence D's answers and anchors; G_f's
-  // answers are a subset (CQs are monotone), and anchors unrealized in
-  // G_f only produce quintuples with ℓ= 0, which the series formulas
-  // skip — so solving every derived database against the one shared
-  // anchor vector reproduces the per-fact series bit for bit.
-  std::set<Rational> anchor_set;
-  for (const Tuple& answer : Evaluate(a.query, db)) {
-    anchor_set.insert(a.tau->Evaluate(answer));
-  }
-  std::vector<std::pair<FactId, Rational>> scores(endo.size());
-  if (anchor_set.empty()) {
-    // No answers over the full database: every F/G series is zero.
-    for (size_t i = 0; i < endo.size(); ++i) scores[i] = {endo[i], Rational()};
-    return scores;
-  }
-  const std::vector<Rational> anchors(anchor_set.begin(), anchor_set.end());
-  // Relevance is independent of endogenous flags and every scored fact is
-  // itself relevant (irrelevant ones short-circuit to an exact 0), so one
-  // split serves every derived database. Irrelevant facts are null
-  // players, so the series run over the relevant players only
-  // (ScoreFromSumK reads the player count from the series length).
-  RelevanceSplit split = SplitRelevantIndexed(a.query, db);
-  std::vector<char> is_relevant(static_cast<size_t>(db.num_facts()), 0);
-  for (FactId id : split.relevant.facts) {
-    is_relevant[static_cast<size_t>(id)] = 1;
-  }
-  // The full database's series, once: G_f then follows from the partition
-  // identity sum_k(A, D) = sum_k(A, G_f) + sum_{k−1}(A, F_f) (split the
-  // k-subsets of D_n by membership of f) — exact rational subtraction on
-  // canonical forms, so no G solve runs at all.
-  SumKSeries full_series;
-  {
-    Database work = db;
-    Combinatorics comb;
-    AvgQntSolver<CountValue> solver(a.query, *a.tau, relation, anchors, &comb);
-    FactSubset relevant;
-    relevant.db = &work;
-    relevant.facts = split.relevant.facts;
-    full_series = SeriesFromAvgQntStructure(
-        solver.Solve(a.query, relevant, solver.EmptyHead()), anchors,
-        a.alpha);
-  }
-  // Worker c owns the contiguous fact chunk [c·n/C, (c+1)·n/C) plus a
-  // private database copy (the F_f flag flip must not race), binomial
-  // cache, and solver; slot i holds fact endo[i], so the fan-out is
-  // deterministic.
-  const int num_chunks =
-      EffectiveThreadCount(options.num_threads, static_cast<int64_t>(n));
-  ParallelFor(
-      num_chunks,
-      [&](int64_t c) {
-        const auto [chunk_begin, chunk_end] =
-            ChunkBounds(static_cast<int64_t>(endo.size()), num_chunks, c);
-        const size_t begin = static_cast<size_t>(chunk_begin);
-        const size_t end = static_cast<size_t>(chunk_end);
-        Database work = db;
-        Combinatorics comb;
-        AvgQntSolver<CountValue> solver(a.query, *a.tau, relation, anchors,
-                                        &comb);
-        FactSubset relevant;
-        relevant.db = &work;
-        relevant.facts = split.relevant.facts;
-        for (size_t i = begin; i < end; ++i) {
-          const FactId f = endo[i];
-          if (!is_relevant[static_cast<size_t>(f)]) {
-            scores[i] = {f, Rational()};
-            continue;
-          }
-          // F_f: flag flip; same relevant subset.
-          work.SetEndogenous(f, false);
-          SumKSeries series_f = SeriesFromAvgQntStructure(
-              solver.Solve(a.query, relevant, solver.EmptyHead()), anchors,
-              a.alpha);
-          work.SetEndogenous(f, true);
-          SumKSeries series_g =
-              RemovedSeriesFromIdentity(full_series, series_f);
-          scores[i] = {f, ScoreFromSumK(series_f, series_g, options.score)};
-        }
-      },
-      num_chunks);
-  return scores;
-}
-
 void RegisterAvgQuantileEngine(EngineRegistry& registry) {
   EngineProvider provider;
   provider.name = "avg-quantile/q-hierarchical-dp";
@@ -527,7 +416,6 @@ void RegisterAvgQuantileEngine(EngineRegistry& registry) {
            a.alpha.kind() == AggKind::kQuantile;
   };
   provider.sum_k = AvgQuantileSumK;
-  provider.score_all = AvgQuantileScoreAll;
   registry.Register(std::move(provider));
 }
 

@@ -18,9 +18,6 @@
 #ifndef SHAPCQ_SHAPLEY_AVG_QUANTILE_H_
 #define SHAPCQ_SHAPLEY_AVG_QUANTILE_H_
 
-#include <utility>
-#include <vector>
-
 #include "shapcq/agg/aggregate.h"
 #include "shapcq/data/database.h"
 #include "shapcq/shapley/score.h"
@@ -46,18 +43,6 @@ StatusOr<SumKSeries> AvgQuantileSumKBigInt(const AggregateQuery& a,
                                            const Database& db,
                                            const SolverOptions& options = {});
 
-// Batched all-facts scorer with the same gates as AvgQuantileSumK. The
-// reduction state shared across facts — the anchor vector, the relevance
-// split, the binomial caches — is built once; each fact's derived
-// databases F/G are an endogenous-flag flip and a subset drop on a
-// worker-private copy, and query-irrelevant facts score an exact 0 without
-// running the quintuple DP. Shards over options.num_threads
-// (options.score selects Shapley/Banzhaf); values are bitwise-identical
-// to per-fact ScoreViaSumK for every thread count.
-StatusOr<std::vector<std::pair<FactId, Rational>>> AvgQuantileScoreAll(
-    const AggregateQuery& a, const Database& db,
-    const SolverOptions& options = {});
-
 // The paper's f_q(ℓ<, ℓ=, ℓ>): the contribution (0, 1/2 or 1) of the anchor
 // to the q-quantile of a bag with that profile. Exposed for testing.
 Rational QuantileContribution(const Rational& q, int64_t less, int64_t equal,
@@ -65,8 +50,8 @@ Rational QuantileContribution(const Rational& q, int64_t less, int64_t equal,
 
 class EngineRegistry;
 
-// Registers the "avg-quantile/q-hierarchical-dp" provider (with the
-// batched scorer).
+// Registers the "avg-quantile/q-hierarchical-dp" provider (sum_k only:
+// the session batches it through ScoreAllViaSumK).
 void RegisterAvgQuantileEngine(EngineRegistry& registry);
 
 }  // namespace shapcq

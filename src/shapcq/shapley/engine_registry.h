@@ -49,14 +49,20 @@ using ScoreOneFn = std::function<StatusOr<Rational>(
 // Batched all-facts scorer: shares per-(query, database) work — answer
 // enumeration, relevance splits, DP scaffolding — across every endogenous
 // fact. Must return one entry per endogenous fact, ascending by FactId,
-// with exactly the values the per-fact path would produce. Receives the
-// session's SolverOptions so it can shard internally over
-// options.num_threads (ScoreKind comes from options.score); sharding must
-// not change any value — exact engines stay bitwise-identical for every
-// thread count.
+// with exactly the values the per-fact path would produce, and must fail
+// exactly where the per-fact path fails: SolverSession::ComputeAll treats
+// a failed batch as final for the engine. Receives the session's
+// SolverOptions so it can shard internally over options.num_threads
+// (ScoreKind comes from options.score); sharding must not change any
+// value — exact engines stay bitwise-identical for every thread count.
 using ScoreAllFn = std::function<StatusOr<std::vector<std::pair<FactId, Rational>>>(
     const AggregateQuery&, const Database&, const SolverOptions&)>;
 
+// SolverSession::ComputeAll batches every provider: score_all when set,
+// else ScoreAllViaSumK (score.h) over sum_k. A failed batch is final for
+// the provider, so per-fact sweeps run only for providers with score_one
+// alone (closed forms, custom scorers). Compute (one fact) prefers
+// score_one over sum_k.
 struct EngineProvider {
   std::string name;
   // Preference order: lower priorities are tried first; ties keep
@@ -67,16 +73,12 @@ struct EngineProvider {
   // sum_k(A, D') series (Section 3.2); null for providers that only score
   // directly (closed forms).
   SumKEngine sum_k;
-  // Optional direct per-fact scorer; used instead of sum_k when present.
+  // Optional direct per-fact scorer: Compute uses it instead of sum_k;
+  // ComputeAll sweeps it only for providers without a batch.
   ScoreOneFn score_one;
-  // Optional batched scorer; SolverSession::ComputeAll prefers it.
+  // Optional batched scorer; ComputeAll prefers it to the generic batch
+  // over sum_k.
   ScoreAllFn score_all;
-  // True when score_one is implemented as a rerun of the batched scorer
-  // (lineage-circuit): once score_all failed for a database, a per-fact
-  // sweep would repeat the identical failing computation once per fact,
-  // so the executor skips it — the engine cannot save individual facts
-  // the batch lost.
-  bool score_one_reruns_batch = false;
 };
 
 class EngineRegistry {

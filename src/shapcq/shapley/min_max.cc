@@ -16,7 +16,6 @@
 #include "shapcq/shapley/membership.h"
 #include "shapcq/util/check.h"
 #include "shapcq/util/combinatorics.h"
-#include "shapcq/util/parallel.h"
 
 namespace shapcq {
 
@@ -451,70 +450,36 @@ StatusOr<SumKSeries> MinMaxSumK(const AggregateQuery& a, const Database& db,
   return solver.Series(top);
 }
 
-// Equivalence with per-fact ScoreViaSumK(MinMaxSumK):
-//  * F_f (f exogenous) has exactly the facts of D, so its relevance split
-//    coincides with D's, and its structure is the leave-one-out variant of
-//    f — exact subset counting, the integers a from-scratch solve of F_f
-//    would produce.
-//  * G_f (f removed) follows from the partition identity
-//      sum_k(A, D) = sum_k(A, G_f) + sum_{k−1}(A, F_f)
-//    (split the k-subsets of D_n by membership of f): exact rational
-//    subtraction on canonical forms, so no G solve runs at all.
-//  * Facts irrelevant to Q leave every answer set unchanged: they are
-//    null players, so their score is an exact 0, emitted without the DP,
-//    and the series run over the relevant players only (ScoreFromSumK
-//    reads the player count from the series length).
+// Equivalence with per-fact ScoreViaSumK(MinMaxSumK): F_f (f exogenous)
+// has exactly the facts of D, so its relevance split coincides with D's,
+// and its structure is the leave-one-out variant of f — exact subset
+// counting, the integers a from-scratch solve of F_f would produce.
+// ScoreFactsByIdentity derives G_f and scores the null players.
 StatusOr<std::vector<std::pair<FactId, Rational>>> MinMaxScoreAll(
     const AggregateQuery& a, const Database& db,
     const SolverOptions& options) {
   StatusOr<MinMaxSetup> setup = SetUp(a);
   if (!setup.ok()) return setup.status();
-  const std::vector<FactId> endo = db.EndogenousFacts();
-  const int n = db.num_endogenous();
-  if (n == 0) return std::vector<std::pair<FactId, Rational>>{};
-  // Relevance is independent of endogenous flags, so the split holds for
-  // every derived database too.
-  RelevanceSplit split = SplitRelevantIndexed(a.query, db);
-  std::vector<char> is_relevant(static_cast<size_t>(db.num_facts()), 0);
-  for (FactId id : split.relevant.facts) {
-    is_relevant[static_cast<size_t>(id)] = 1;
+  if (db.num_endogenous() == 0) {
+    return std::vector<std::pair<FactId, Rational>>{};
   }
   Database work = db;
   Combinatorics comb;
   MaxSolver solver(a.query, *setup, &comb);
   FactSubset relevant;
   relevant.db = &work;
-  relevant.facts = split.relevant.facts;
-  MaxLOO loo = solver.SolveTop(a.query, relevant, &work);
-  const SumKSeries full_series = solver.Series(loo.full);
-  // Per-fact assembly shards over contiguous fact chunks (slot i holds
-  // fact endo[i], so the fan-out is deterministic and thread-count
-  // invariant).
-  std::vector<std::pair<FactId, Rational>> scores(endo.size());
-  const int num_chunks =
-      EffectiveThreadCount(options.num_threads, static_cast<int64_t>(n));
-  ParallelFor(
-      num_chunks,
-      [&](int64_t c) {
-        const auto [begin, end] =
-            ChunkBounds(static_cast<int64_t>(endo.size()), num_chunks, c);
-        for (size_t i = static_cast<size_t>(begin);
-             i < static_cast<size_t>(end); ++i) {
-          const FactId f = endo[i];
-          if (!is_relevant[static_cast<size_t>(f)]) {
-            scores[i] = {f, Rational()};
-            continue;
-          }
+  relevant.facts = SplitRelevantIndexed(a.query, db).relevant.facts;
+  const MaxLOO loo = solver.SolveTop(a.query, relevant, &work);
+  return ScoreFactsByIdentity(
+      a, db, solver.Series(loo.full),
+      [&]() -> ExogenousSeriesFn {
+        return [&](FactId f) -> StatusOr<SumKSeries> {
           auto it = loo.minus.find(f);
           SHAPCQ_CHECK(it != loo.minus.end());
-          const SumKSeries series_f = solver.Series(it->second);
-          const SumKSeries series_g =
-              RemovedSeriesFromIdentity(full_series, series_f);
-          scores[i] = {f, ScoreFromSumK(series_f, series_g, options.score)};
-        }
+          return solver.Series(it->second);
+        };
       },
-      num_chunks);
-  return scores;
+      options);
 }
 
 void RegisterMinMaxEngine(EngineRegistry& registry) {

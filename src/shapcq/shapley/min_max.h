@@ -39,11 +39,10 @@ StatusOr<SumKSeries> MinMaxSumK(const AggregateQuery& a, const Database& db,
 
 // Batched all-facts scorer with the same gates as MinMaxSumK. One
 // leave-one-out pass of the DP yields every fact's derived database F
-// (fact exogenous); G (fact removed) follows from the partition identity,
-// and facts irrelevant to the query score an exact 0 without running the
-// DP. Shards the per-fact assembly over options.num_threads
-// (options.score selects Shapley/Banzhaf); values are bitwise-identical
-// to per-fact ScoreViaSumK for every thread count.
+// (fact exogenous), which ScoreFactsByIdentity (score.h) turns into scores
+// — G from the partition identity, null players an exact 0, facts sharded
+// over options.num_threads; values are bitwise-identical to per-fact
+// ScoreViaSumK for every thread count.
 StatusOr<std::vector<std::pair<FactId, Rational>>> MinMaxScoreAll(
     const AggregateQuery& a, const Database& db,
     const SolverOptions& options = {});

@@ -1,8 +1,12 @@
 #include "shapcq/shapley/score.h"
 
+#include <memory>
+
+#include "shapcq/query/decomposition.h"
 #include "shapcq/shapley/solver_options.h"
 #include "shapcq/util/check.h"
 #include "shapcq/util/combinatorics.h"
+#include "shapcq/util/parallel.h"
 
 namespace shapcq {
 
@@ -104,16 +108,88 @@ StatusOr<Rational> ScoreViaSumK(const AggregateQuery& a, const Database& db,
   return ScoreViaSumK(a, db, fact, engine, options);
 }
 
+StatusOr<std::vector<std::pair<FactId, Rational>>> ScoreFactsByIdentity(
+    const AggregateQuery& a, const Database& db, const SumKSeries& full_series,
+    const std::function<ExogenousSeriesFn()>& new_worker,
+    const SolverOptions& options) {
+  const std::vector<FactId> endo = db.EndogenousFacts();
+  // Relevance is independent of endogenous flags, so one split serves
+  // every F_f.
+  const bool split = !a.query.HasSelfJoin();
+  std::vector<char> is_relevant(static_cast<size_t>(db.num_facts()),
+                                split ? 0 : 1);
+  if (split) {
+    for (FactId id : SplitRelevantIndexed(a.query, db).relevant.facts) {
+      is_relevant[static_cast<size_t>(id)] = 1;
+    }
+  }
+  // Worker c owns the contiguous fact chunk [c·n/C, (c+1)·n/C) and stops at
+  // its first failure or cancellation; chunk order is fact order, so the
+  // first stop over all chunks is the same for every thread count.
+  std::vector<std::pair<FactId, Rational>> scores(endo.size());
+  const int num_chunks = EffectiveThreadCount(
+      options.num_threads, static_cast<int64_t>(endo.size()));
+  std::vector<Status> stops(static_cast<size_t>(num_chunks));
+  ParallelFor(
+      num_chunks,
+      [&](int64_t c) {
+        const auto [begin, end] =
+            ChunkBounds(static_cast<int64_t>(endo.size()), num_chunks, c);
+        ExogenousSeriesFn series_of;
+        for (size_t i = static_cast<size_t>(begin);
+             i < static_cast<size_t>(end); ++i) {
+          if (SolveCancelled(options)) {
+            stops[static_cast<size_t>(c)] =
+                DeadlineExceededError("deadline exceeded while scoring facts");
+            return;
+          }
+          const FactId f = endo[i];
+          if (!is_relevant[static_cast<size_t>(f)]) {
+            scores[i] = {f, Rational()};
+            continue;
+          }
+          if (series_of == nullptr) series_of = new_worker();
+          StatusOr<SumKSeries> series_f = series_of(f);
+          if (!series_f.ok()) {
+            stops[static_cast<size_t>(c)] = series_f.status();
+            return;
+          }
+          const SumKSeries series_g =
+              RemovedSeriesFromIdentity(full_series, *series_f);
+          scores[i] = {f, ScoreFromSumK(*series_f, series_g, options.score)};
+        }
+      },
+      num_chunks);
+  for (const Status& stop : stops) {
+    if (!stop.ok()) return stop;
+  }
+  return scores;
+}
+
 StatusOr<std::vector<std::pair<FactId, Rational>>> ScoreAllViaSumK(
     const AggregateQuery& a, const Database& db, const SumKEngine& engine,
     const SolverOptions& options) {
-  std::vector<std::pair<FactId, Rational>> scores;
-  for (FactId fact : db.EndogenousFacts()) {
-    StatusOr<Rational> score = ScoreViaSumK(a, db, fact, engine, options);
-    if (!score.ok()) return score.status();
-    scores.emplace_back(fact, std::move(score).value());
-  }
-  return scores;
+  StatusOr<SumKSeries> full_series = engine(a, db, options);
+  if (!full_series.ok()) return full_series.status();
+  // The workers already are the fan-out, and the trace sink belongs to the
+  // calling thread: engine runs inside them are single-threaded and
+  // untraced (neither changes a value).
+  SolverOptions worker_options = options;
+  worker_options.num_threads = 1;
+  worker_options.trace = nullptr;
+  return ScoreFactsByIdentity(
+      a, db, *full_series,
+      [&]() -> ExogenousSeriesFn {
+        // F_f is D with f's flag flipped, on the worker's own copy.
+        auto work = std::make_shared<Database>(db);
+        return [&, work](FactId f) {
+          work->SetEndogenous(f, false);
+          StatusOr<SumKSeries> series = engine(a, *work, worker_options);
+          work->SetEndogenous(f, true);
+          return series;
+        };
+      },
+      options);
 }
 
 StatusOr<std::vector<std::pair<FactId, Rational>>> ScoreAllViaSumK(

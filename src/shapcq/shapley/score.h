@@ -19,6 +19,7 @@
 #define SHAPCQ_SHAPLEY_SCORE_H_
 
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "shapcq/agg/aggregate.h"
@@ -55,10 +56,36 @@ Rational ScoreFromSumK(const SumKSeries& series_f_exogenous,
 //   sum_k(A, D) = sum_k(A, G_f) + sum_{k−1}(A, F_f).
 // `full_series` must have length n+1 and `series_f_exogenous` length n;
 // exact rational subtraction on canonical forms makes the result value-
-// and representation-identical to solving G directly. The batched engine
-// scorers use this so no G solve ever runs.
+// and representation-identical to solving G directly, so the batched
+// scorers never run a G solve.
 SumKSeries RemovedSeriesFromIdentity(const SumKSeries& full_series,
                                      const SumKSeries& series_f_exogenous);
+
+// F_f's series (f made exogenous) for one endogenous fact f, on a worker
+// thread. Every worker chunk gets its own function, so it may keep private
+// state (a database copy, a solver) across the chunk's facts.
+using ExogenousSeriesFn = std::function<StatusOr<SumKSeries>(FactId)>;
+
+// The fact-level scoring path of every sum_k engine — the counterpart of
+// the per-answer ScoreAnswersByLinearity (linearity.h). Given
+// full_series = sum_k(A, D), scores each endogenous fact f from F_f's
+// series (`new_worker()`'s function) and G_f's, which follows from the
+// partition identity. A fact no atom of q matches (SplitRelevantIndexed)
+// leaves every answer set unchanged: a null player, scored an exact 0
+// without calling the callback. That split needs a self-join-free q; with
+// a self-join every fact is scored. The series may range over the relevant
+// players only (ScoreFromSumK reads the player count from their length).
+//
+// Facts shard over contiguous chunks of options.num_threads workers (slot
+// i holds fact i), so the exact result is bitwise-identical for every
+// thread count. Each worker polls options.cancelled before every fact; a
+// fired hook fails the batch with kDeadlineExceeded and no partial scores.
+// Otherwise a failing callback fails the batch with the first failure in
+// fact order. Returns one entry per endogenous fact (ascending FactId).
+StatusOr<std::vector<std::pair<FactId, Rational>>> ScoreFactsByIdentity(
+    const AggregateQuery& a, const Database& db, const SumKSeries& full_series,
+    const std::function<ExogenousSeriesFn()>& new_worker,
+    const SolverOptions& options);
 
 // Runs `engine` on F and G and combines. `fact` must be endogenous in `db`.
 // The ScoreKind form runs the engine under default solver options; the
@@ -71,7 +98,11 @@ StatusOr<Rational> ScoreViaSumK(const AggregateQuery& a, const Database& db,
                                 FactId fact, const SumKEngine& engine,
                                 const SolverOptions& options);
 
-// Scores every endogenous fact (same engine, 2·n engine runs).
+// Scores every endogenous fact with any sum_k engine: one engine run over
+// D, then ScoreFactsByIdentity with one engine run per relevant fact over
+// F_f (a flag flip on a worker-private database copy). Fails exactly where
+// the engine fails over D, and returns exactly the per-fact ScoreViaSumK
+// values.
 StatusOr<std::vector<std::pair<FactId, Rational>>> ScoreAllViaSumK(
     const AggregateQuery& a, const Database& db, const SumKEngine& engine,
     ScoreKind kind = ScoreKind::kShapley);

@@ -234,15 +234,18 @@ std::vector<size_t> SolverSession::ExactSweep(
       }
       engine_span.End();
     };
-    bool batch_failed = false;
-    if (engine->score_all != nullptr) {
-      // The batched scorer covers every endogenous fact in one run, so it
-      // serves leftover subsets too (one batch beats a per-fact sweep of
-      // the leftovers whenever more than a handful of facts remain, and
-      // its values are the per-fact values by contract). The per-fact
-      // sweep below stays as the fallback for batch failures.
+    if (engine->score_all != nullptr || engine->sum_k != nullptr) {
+      // The batch — the engine's own scorer, else the fact-level identity
+      // scorer over its sum_k — covers every endogenous fact in one run,
+      // so it serves leftover subsets too (its values are the per-fact
+      // values by contract). A failed batch is final for this engine:
+      // every built-in batch fails exactly where its per-fact path does
+      // (the gates read the query alone, and lineage's score_one reruns
+      // its batch), so a per-fact sweep would only repeat the failure.
       StatusOr<std::vector<std::pair<FactId, Rational>>> batch =
-          engine->score_all(a(), db_, options);
+          engine->score_all != nullptr
+              ? engine->score_all(a(), db_, options)
+              : ScoreAllViaSumK(a(), db_, engine->sum_k, options);
       if (batch.ok()) {
         // The contract guarantees one entry per endogenous fact,
         // ascending — aligned with `facts`. Guard anyway so a misbehaving
@@ -264,27 +267,31 @@ std::vector<size_t> SolverSession::ExactSweep(
                                           "' returned a misaligned batch");
         reject = misaligned.message();
         note_failure(misaligned);
-        batch_failed = true;
+      } else if (batch.status().code() == StatusCode::kDeadlineExceeded) {
+        // Cancelled inside the batch: the same structured failure as the
+        // poll between engines.
+        reject = batch.status().message();
+        finish_span();
+        failure = DeadlineStatus(engines_tried, plan_->engines().size(),
+                                 facts.size() - remaining.size(), facts.size());
+        if (first_failure != nullptr) *first_failure = failure;
+        return remaining;
       } else {
         reject = batch.status().message();
         note_failure(batch.status());
-        batch_failed = true;
       }
-    }
-    if (engine->score_one == nullptr && engine->sum_k == nullptr) {
       finish_span();
       continue;
     }
-    // A per-fact scorer that merely reruns the batch would repeat the
-    // failing computation once per open fact for the same outcome.
-    if (batch_failed && engine->score_one_reruns_batch) {
+    if (engine->score_one == nullptr) {
       finish_span();
       continue;
     }
-    // Per-fact sweep with this engine over the still-open facts, fanned out
-    // over the thread pool. Slot i holds remaining[i]'s outcome, so the
-    // result is independent of scheduling; failing facts stay open for the
-    // next engine instead of dragging the successes along.
+    // Per-fact sweep with a score_one-only engine (closed forms, custom
+    // providers) over the still-open facts, fanned out over the thread
+    // pool. Slot i holds remaining[i]'s outcome, so the result is
+    // independent of scheduling; failing facts stay open for the next
+    // engine instead of dragging the successes along.
     std::vector<StatusOr<Rational>> scores(
         remaining.size(), StatusOr<Rational>(UnsupportedError("unset")));
     // Shards must never see the trace sink: TraceContext is single-owner
@@ -296,7 +303,7 @@ std::vector<size_t> SolverSession::ExactSweep(
         [&](int64_t i) {
           FactId fact = facts[remaining[static_cast<size_t>(i)]];
           scores[static_cast<size_t>(i)] =
-              ScoreOneWith(*engine, a(), db_, fact, shard_options);
+              engine->score_one(a(), db_, fact, shard_options);
         },
         options.num_threads);
     std::vector<size_t> still_open;

@@ -70,11 +70,13 @@ struct SolverOptions {
   // Cooperative cancellation for serving deadlines (serve/server.h). When
   // set, the session polls it on the solving thread at coarse phase
   // boundaries — before the exact sweep, between engines, and before the
-  // brute-force/Monte-Carlo fallback — and a true return makes the call
+  // brute-force/Monte-Carlo fallback — and the fact-level batch scorer
+  // (ScoreFactsByIdentity, score.h) polls it from its workers before every
+  // fact, so the hook must be thread-safe. A true return makes the call
   // fail with StatusCode::kDeadlineExceeded instead of starting the next
-  // phase. Work already in flight (one engine's batch) runs to completion:
-  // cancellation never tears down worker threads mid-accumulation, so
-  // results that do complete stay bitwise-deterministic. Null means never
+  // phase; a cancelled batch is abandoned whole, so results that do
+  // complete stay bitwise-deterministic. Other batches (per-answer
+  // linearity, lineage circuits) run to completion. Null means never
   // cancelled.
   std::function<bool()> cancelled;
   // Optional per-request trace sink (obs/trace.h). Borrowed, not owned,

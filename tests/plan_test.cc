@@ -3,6 +3,7 @@
 // concurrent access), warm-vs-cold ComputeAll equivalence, and the
 // per-fact engine fallback in the executor.
 
+#include <atomic>
 #include <cmath>
 #include <memory>
 #include <set>
@@ -436,6 +437,87 @@ TEST(ExactSweepTest, EngineFailingForSomeFactsKeepsItsSuccesses) {
   }
   // Only the poisoned fact moved on; the other four kept the first engine.
   EXPECT_EQ(poison_engine_facts, 4);
+}
+
+// A provider whose batch always fails, first in the chain for queries over
+// the marker relation "FbR", with a per-fact scorer that counts its calls.
+std::atomic<int> failing_batch_score_one_calls{0};
+
+void RegisterFailingBatchEngineOnce() {
+  static bool registered = [] {
+    EngineProvider provider;
+    provider.name = "failing-batch/counted";
+    provider.priority = 0;  // ahead of every built-in
+    provider.applies = [](const AggregateQuery& a) {
+      return !a.query.AtomsOf("FbR").empty();
+    };
+    provider.score_all = [](const AggregateQuery&, const Database&,
+                            const SolverOptions&)
+        -> StatusOr<std::vector<std::pair<FactId, Rational>>> {
+      return UnsupportedError("batch refused");
+    };
+    provider.score_one = [](const AggregateQuery& a, const Database& db,
+                            FactId fact,
+                            const SolverOptions& options)
+        -> StatusOr<Rational> {
+      failing_batch_score_one_calls.fetch_add(1);
+      return BruteForceScore(a, db, fact, options.score);
+    };
+    EngineRegistry::Global().Register(std::move(provider));
+    return true;
+  }();
+  (void)registered;
+}
+
+TEST(ExactSweepTest, FailedBatchIsFinalForItsEngine) {
+  RegisterFailingBatchEngineOnce();
+  AggregateQuery a = Agg("Q(x) <- FbR(x, y)", AggregateFunction::Sum(),
+                         MakeTauId(0));
+  Database db;
+  for (int i = 1; i <= 5; ++i) {
+    db.AddEndogenous("FbR", {Value(i), Value(i + 10)});
+  }
+  SolverSession session(AttributionPlan::Compile(a), db);
+  failing_batch_score_one_calls.store(0);
+  auto all = session.ComputeAll();
+  ASSERT_TRUE(all.ok()) << all.status().ToString();
+  EXPECT_EQ(failing_batch_score_one_calls.load(), 0);
+  ASSERT_EQ(all->size(), 5u);
+  for (const auto& [fact, result] : *all) {
+    EXPECT_TRUE(result.is_exact);
+    EXPECT_EQ(result.algorithm, "sum-count/linearity") << "fact " << fact;
+  }
+}
+
+TEST(ExactSweepTest, NullPlayersKeepTheBatchingEngineLabel) {
+  // Count-distinct has no scorer of its own: the session batches its sum_k
+  // through the fact-level scorer, which scores the facts of a relation Q
+  // does not mention as exact zeros under the same engine label.
+  AggregateQuery a = Agg("Q(x, y) <- R(x, y), S(y)",
+                         AggregateFunction::CountDistinct(), MakeTauId(0));
+  Database db;
+  db.AddEndogenous("R", {Value(1), Value(10)});
+  db.AddEndogenous("R", {Value(2), Value(10)});
+  db.AddEndogenous("R", {Value(1), Value(20)});
+  db.AddEndogenous("S", {Value(10)});
+  db.AddExogenous("S", {Value(20)});
+  const FactId unmentioned = db.AddEndogenous("Unmentioned", {Value(1)});
+  db.AddExogenous("Unmentioned", {Value(2)});
+  SolverSession session(AttributionPlan::Compile(a), db);
+  auto all = session.ComputeAll();
+  ASSERT_TRUE(all.ok()) << all.status().ToString();
+  ASSERT_EQ(all->size(), 5u);
+  for (const auto& [fact, result] : *all) {
+    EXPECT_TRUE(result.is_exact);
+    EXPECT_EQ(result.algorithm, "count-distinct/boolean-reduction")
+        << "fact " << fact;
+    auto oracle = BruteForceScore(a, db, fact);
+    ASSERT_TRUE(oracle.ok());
+    EXPECT_EQ(result.exact, *oracle) << "fact " << fact;
+    if (fact == unmentioned) {
+      EXPECT_TRUE(result.exact.is_zero());
+    }
+  }
 }
 
 }  // namespace

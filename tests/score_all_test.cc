@@ -23,10 +23,14 @@
 #include "shapcq/shapley/plan.h"
 #include "shapcq/shapley/session.h"
 #include "shapcq/shapley/brute_force.h"
+#include "shapcq/shapley/count_distinct.h"
+#include "shapcq/shapley/has_duplicates.h"
 #include "shapcq/shapley/min_max.h"
 #include "shapcq/shapley/score.h"
 #include "shapcq/shapley/solver_options.h"
+#include "shapcq/shapley/special_cases.h"
 #include "shapcq/shapley/sum_count.h"
+#include "shapcq/util/check.h"
 #include "shapcq/workload/generators.h"
 #include "shapcq/workload/random_query.h"
 
@@ -289,10 +293,10 @@ TEST(MinMaxScoreAllMonoidTest, RefusesExactlyLikeTheSeriesEngine) {
 }
 
 // ---------------------------------------------------------------------------
-// AvgQuantileScoreAll (quintuple DP)
+// ScoreAllViaSumK over AvgQuantileSumK (quintuple DP)
 // ---------------------------------------------------------------------------
 
-TEST(AvgQuantileScoreAllTest, MatchesPerFactOnRandomQHierarchicalWorkloads) {
+TEST(AvgQuantileViaSumKTest, MatchesPerFactOnRandomQHierarchicalWorkloads) {
   for (AggregateFunction alpha :
        {AggregateFunction::Avg(), AggregateFunction::Median(),
         AggregateFunction::Quantile(Rational(BigInt(1), BigInt(4)))}) {
@@ -311,22 +315,24 @@ TEST(AvgQuantileScoreAllTest, MatchesPerFactOnRandomQHierarchicalWorkloads) {
           q.arity() > 0 ? MakeTauId(0) : MakeConstantTau(Rational(1));
       AggregateQuery a{q, tau, alpha};
       for (ScoreKind kind : {ScoreKind::kShapley, ScoreKind::kBanzhaf}) {
-        ExpectMatchesPerFact(AvgQuantileScoreAll(a, db, Options(kind)), a,
-                             db, AvgQuantileSumK, kind,
-                             a.ToString() + " seed " + std::to_string(seed));
+        ExpectMatchesPerFact(
+            ScoreAllViaSumK(a, db, AvgQuantileSumK, Options(kind)), a, db,
+            AvgQuantileSumK, kind,
+            a.ToString() + " seed " + std::to_string(seed));
       }
       const Database wider = WithUnmentionedRelation(db);
       for (ScoreKind kind : {ScoreKind::kShapley, ScoreKind::kBanzhaf}) {
-        ExpectMatchesPerFact(AvgQuantileScoreAll(a, wider, Options(kind)), a,
-                             wider, AvgQuantileSumK, kind,
-                             a.ToString() + " seed " + std::to_string(seed) +
-                                 " + unmentioned relation");
+        ExpectMatchesPerFact(
+            ScoreAllViaSumK(a, wider, AvgQuantileSumK, Options(kind)), a,
+            wider, AvgQuantileSumK, kind,
+            a.ToString() + " seed " + std::to_string(seed) +
+                " + unmentioned relation");
       }
     }
   }
 }
 
-TEST(AvgQuantileScoreAllTest, ThreadCountNeverChangesAnyValue) {
+TEST(AvgQuantileViaSumKTest, ThreadCountNeverChangesAnyValue) {
   // q-hierarchical: the free variable dominates the existential one.
   ConjunctiveQuery q = MustParseQuery("Q(x) <- R(x, y), S(x)");
   RandomDatabaseOptions db_options;
@@ -335,11 +341,12 @@ TEST(AvgQuantileScoreAllTest, ThreadCountNeverChangesAnyValue) {
   Database db = RandomDatabaseForQuery(q, db_options);
   ASSERT_GT(db.num_endogenous(), 0);
   AggregateQuery a{q, MakeTauId(0), AggregateFunction::Avg()};
-  auto reference = AvgQuantileScoreAll(a, db, Options(ScoreKind::kShapley, 1));
+  auto reference = ScoreAllViaSumK(a, db, AvgQuantileSumK,
+                                   Options(ScoreKind::kShapley, 1));
   ASSERT_TRUE(reference.ok());
   for (int threads : {2, 8}) {
-    auto threaded =
-        AvgQuantileScoreAll(a, db, Options(ScoreKind::kShapley, threads));
+    auto threaded = ScoreAllViaSumK(a, db, AvgQuantileSumK,
+                                    Options(ScoreKind::kShapley, threads));
     ASSERT_TRUE(threaded.ok());
     ASSERT_EQ(reference->size(), threaded->size());
     for (size_t i = 0; i < reference->size(); ++i) {
@@ -350,7 +357,7 @@ TEST(AvgQuantileScoreAllTest, ThreadCountNeverChangesAnyValue) {
   }
 }
 
-TEST(AvgQuantileScoreAllTest, RefusesExactlyLikeTheSeriesEngine) {
+TEST(AvgQuantileViaSumKTest, RefusesExactlyLikeTheSeriesEngine) {
   // ∃-hierarchical but not q-hierarchical: Q(x) with y joining two atoms.
   ConjunctiveQuery q = MustParseQuery("Q(x) <- R(x), S(x, y), T(y)");
   Database db;
@@ -358,11 +365,133 @@ TEST(AvgQuantileScoreAllTest, RefusesExactlyLikeTheSeriesEngine) {
   db.AddEndogenous("S", {Value(1), Value(2)});
   db.AddEndogenous("T", {Value(2)});
   AggregateQuery a{q, MakeTauId(0), AggregateFunction::Avg()};
-  auto batched = AvgQuantileScoreAll(a, db);
+  auto batched = ScoreAllViaSumK(a, db, AvgQuantileSumK);
   auto series = AvgQuantileSumK(a, db);
   ASSERT_FALSE(batched.ok());
   ASSERT_FALSE(series.ok());
   EXPECT_EQ(batched.status().message(), series.status().message());
+}
+
+// ---------------------------------------------------------------------------
+// ScoreAllViaSumK over the engines without a scorer of their own
+// ---------------------------------------------------------------------------
+
+// `db` with its smallest endogenous fact tombstoned: a hole in the FactId
+// space the batch must skip.
+Database WithTombstone(Database db) {
+  const FactId first = db.EndogenousFacts().front();
+  SHAPCQ_CHECK(db.DeleteFact(first).ok());
+  return db;
+}
+
+// Per input: db, db plus an unmentioned relation, and that with a
+// tombstone; Shapley and Banzhaf; 1, 2 and 8 threads — every batch equal
+// to per-fact ScoreViaSumK bit for bit.
+void ExpectViaSumKMatchesPerFact(const AggregateQuery& a, const Database& db,
+                                 const SumKEngine& engine,
+                                 const std::string& label) {
+  const Database wider = WithUnmentionedRelation(db);
+  const Database tombstoned = WithTombstone(wider);
+  for (const auto& [input, suffix] :
+       {std::pair<const Database*, const char*>{&db, ""},
+        {&wider, " + unmentioned relation"},
+        {&tombstoned, " + unmentioned relation + tombstone"}}) {
+    for (ScoreKind kind : {ScoreKind::kShapley, ScoreKind::kBanzhaf}) {
+      for (int threads : {1, 2, 8}) {
+        ExpectMatchesPerFact(
+            ScoreAllViaSumK(a, *input, engine, Options(kind, threads)), a,
+            *input, engine, kind,
+            label + suffix + " threads " + std::to_string(threads));
+      }
+    }
+  }
+}
+
+TEST(ScoreAllViaSumKTest, MatchesPerFactForCountDistinct) {
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    RandomQueryOptions query_options;
+    query_options.max_variables = 3;
+    query_options.seed = seed * 17 + 2;
+    ConjunctiveQuery q =
+        RandomQueryOfClass(HierarchyClass::kAllHierarchical, query_options);
+    RandomDatabaseOptions db_options;
+    db_options.facts_per_relation = 4;
+    db_options.seed = seed * 5 + 1;
+    Database db = RandomDatabaseForQuery(q, db_options);
+    if (db.num_endogenous() == 0) continue;
+    ValueFunctionPtr tau =
+        q.arity() > 0 ? MakeTauId(0) : MakeConstantTau(Rational(1));
+    AggregateQuery a{q, tau, AggregateFunction::CountDistinct()};
+    ExpectViaSumKMatchesPerFact(a, db, CountDistinctSumK,
+                                a.ToString() + " seed " + std::to_string(seed));
+  }
+}
+
+TEST(ScoreAllViaSumKTest, MatchesPerFactForHasDuplicates) {
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    RandomQueryOptions query_options;
+    query_options.max_variables = 3;
+    query_options.seed = seed * 23 + 5;
+    ConjunctiveQuery q =
+        RandomQueryOfClass(HierarchyClass::kSqHierarchical, query_options);
+    RandomDatabaseOptions db_options;
+    db_options.facts_per_relation = 4;
+    db_options.domain_size = 3;  // small domain: duplicates are common
+    db_options.seed = seed * 7 + 3;
+    Database db = RandomDatabaseForQuery(q, db_options);
+    if (db.num_endogenous() == 0) continue;
+    ValueFunctionPtr tau =
+        q.arity() > 0 ? MakeTauId(0) : MakeConstantTau(Rational(1));
+    AggregateQuery a{q, tau, AggregateFunction::HasDuplicates()};
+    ExpectViaSumKMatchesPerFact(a, db, HasDuplicatesSumK,
+                                a.ToString() + " seed " + std::to_string(seed));
+  }
+}
+
+TEST(ScoreAllViaSumKTest, MatchesPerFactForGatedProduct) {
+  // Proposition 7.3: τ localized on T, the component Q1 = {T} gated by the
+  // satisfaction of Q2 = {R, S}.
+  ConjunctiveQuery q = MustParseQuery("Q(x, z) <- R(x, y), S(y), T(z)");
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    RandomDatabaseOptions db_options;
+    db_options.facts_per_relation = 3;
+    db_options.seed = seed;
+    Database db = RandomDatabaseForQuery(q, db_options);
+    if (db.num_endogenous() == 0) continue;
+    for (AggregateFunction alpha :
+         {AggregateFunction::Avg(), AggregateFunction::Median()}) {
+      AggregateQuery a{q, MakeTauReLU(1), alpha};
+      ExpectViaSumKMatchesPerFact(
+          a, db, GatedProductSumK,
+          a.ToString() + " seed " + std::to_string(seed));
+    }
+  }
+}
+
+TEST(ScoreAllViaSumKTest, CancellationFailsTheWholeBatch) {
+  ConjunctiveQuery q = MustParseQuery("Q(x) <- R(x, y), S(x)");
+  RandomDatabaseOptions db_options;
+  db_options.facts_per_relation = 5;
+  db_options.seed = 13;
+  Database db = RandomDatabaseForQuery(q, db_options);
+  ASSERT_GT(db.num_endogenous(), 0);
+  AggregateQuery a{q, MakeTauId(0), AggregateFunction::Avg()};
+  for (int threads : {1, 8}) {
+    SolverOptions fired = Options(ScoreKind::kShapley, threads);
+    fired.cancelled = [] { return true; };
+    auto cancelled = ScoreAllViaSumK(a, db, AvgQuantileSumK, fired);
+    ASSERT_FALSE(cancelled.ok());
+    EXPECT_EQ(cancelled.status().code(), StatusCode::kDeadlineExceeded);
+
+    auto plain = ScoreAllViaSumK(a, db, AvgQuantileSumK,
+                                 Options(ScoreKind::kShapley, threads));
+    SolverOptions unfired = Options(ScoreKind::kShapley, threads);
+    unfired.cancelled = [] { return false; };
+    auto hooked = ScoreAllViaSumK(a, db, AvgQuantileSumK, unfired);
+    ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+    ASSERT_TRUE(hooked.ok()) << hooked.status().ToString();
+    EXPECT_EQ(*hooked, *plain) << "threads=" << threads;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -440,7 +569,10 @@ TEST(ScoreAllWarmCacheTest, CachedPlanSessionsMatchDirectBatchedScorers) {
       {"max", "Q(x, y) <- R(x, y), S(y)", AggregateFunction::Max(),
        MinMaxScoreAll},
       {"avg", "Q(x, y) <- R(x, y), S(y)", AggregateFunction::Avg(),
-       AvgQuantileScoreAll},
+       [](const AggregateQuery& a, const Database& db,
+          const SolverOptions& options) {
+         return ScoreAllViaSumK(a, db, AvgQuantileSumK, options);
+       }},
   };
   for (const Case& c : cases) {
     ConjunctiveQuery q = MustParseQuery(c.query);

@@ -168,7 +168,7 @@ TEST_P(StreamingDifferentialTest, MutateThenSolveMatchesRebuild) {
       const Atom& atom = atoms[rng() % atoms.size()];
       Tuple args;
       for (int i = 0; i < atom.arity(); ++i) {
-        args.push_back(Value(static_cast<int64_t>(rng() % 4)));
+        args.emplace_back(static_cast<int64_t>(rng() % 4));
       }
       bool endogenous =
           db.num_endogenous() < kMaxPlayers && rng() % 4 != 0;
