@@ -1,9 +1,12 @@
 // All-facts attribution throughput: per-fact Compute loop vs. the batched
-// SolverSession::ComputeAll, on generated Sum, Max, Avg, CountDistinct and
-// HasDuplicates workloads. Avg, CountDistinct and HasDuplicates engines
-// have no scorer of their own: ComputeAll batches their sum_k through the
-// fact-level identity scorer (ScoreAllViaSumK), so this also checks that
-// scorer against the per-fact sum_k path.
+// SolverSession::ComputeAll, on generated Sum, Max, Min, CountDistinct,
+// HasDuplicates and Avg workloads. Sum, Max, Min and CountDistinct batch
+// through the group driver on lineage circuits (shapley/linearity.h) while
+// their per-fact path runs the frontier DP's sum_k, so this checks the
+// circuits against the DPs. Avg and HasDuplicates engines have no scorer
+// of their own: ComputeAll batches their sum_k through the fact-level
+// identity scorer (ScoreAllViaSumK), so this also checks that scorer
+// against the per-fact sum_k path.
 //
 // This is the acceptance benchmark for the batched engine scorers:
 // ComputeAll must produce bitwise-identical Rational scores while sharing
@@ -16,9 +19,9 @@
 //                          [seed]
 //   defaults: 200 50 1 for Sum (≈240 endogenous facts over R, S, T; the
 //   unary relations cap at domain_size+1 distinct facts, so the domain
-//   must grow with the requested fact count); the Max, CountDistinct and
-//   HasDuplicates workloads run at a quarter of the Sum size and Avg at a
-//   sixteenth (their DPs are heavier per fact). --smoke shrinks to CI
+//   must grow with the requested fact count); the Max, Min, CountDistinct
+//   and HasDuplicates workloads run at a quarter of the Sum size and Avg at
+//   a sixteenth (their DPs are heavier per fact). --smoke shrinks to CI
 //   sizes.
 
 #include <cstdio>
@@ -147,8 +150,8 @@ int main(int argc, char** argv) {
   }
 
   {
-    // All-hierarchical with a localized τ: the batched Min/Max DP. A
-    // quarter of the Sum size — each per-fact step runs the anchor DP
+    // All-hierarchical with a localized τ: the threshold group games. A
+    // quarter of the Sum size — each per-fact step runs the Min/Max DP
     // twice over the whole database.
     ConjunctiveQuery q = MustParseQuery("Q(x, y) <- R(x, y), S(y)");
     RandomDatabaseOptions options;
@@ -159,6 +162,19 @@ int main(int argc, char** argv) {
     Database db = RandomDatabaseForQuery(q, options);
     AggregateQuery a{q, MakeTauId(0), AggregateFunction::Max()};
     ok = RunWorkload("compute-all throughput (Max)", a, db) && ok;
+  }
+
+  {
+    // The mirror image of Max: descending thresholds, negative steps.
+    ConjunctiveQuery q = MustParseQuery("Q(x, y) <- R(x, y), S(y)");
+    RandomDatabaseOptions options;
+    options.facts_per_relation = quarter;
+    options.domain_size = domain_size;
+    options.endogenous_percent = 80;
+    options.seed = seed;
+    Database db = RandomDatabaseForQuery(q, options);
+    AggregateQuery a{q, MakeTauId(0), AggregateFunction::Min()};
+    ok = RunWorkload("compute-all throughput (Min)", a, db) && ok;
   }
 
   {

@@ -42,7 +42,7 @@
 #include "shapcq/data/csv.h"
 #include "shapcq/data/database.h"
 #include "shapcq/hierarchy/classification.h"
-#include "shapcq/lineage/engine.h"
+#include "shapcq/lineage/stats.h"
 #include "shapcq/query/parser.h"
 #include "shapcq/shapley/plan.h"
 #include "shapcq/shapley/report.h"

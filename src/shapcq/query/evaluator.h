@@ -29,16 +29,6 @@ struct Homomorphism {
   std::vector<FactId> used_facts;  // one per atom, in atom order
 };
 
-// Tests whether `fact_args` matches `atom` under (and extending) `binding`:
-// constants must equal, repeated variables must agree, and variables bound
-// in `binding` must agree with their values. On success, returns true and
-// extends `binding` with the atom's newly bound variables.
-bool MatchAtom(const Atom& atom, const Tuple& fact_args, Binding* binding);
-
-// Read-only variant: no binding extension.
-bool MatchesAtom(const Atom& atom, const Tuple& fact_args,
-                 const Binding& binding);
-
 // Computes the answer set Q(D) (distinct tuples, in some deterministic
 // order).
 std::vector<Tuple> Evaluate(const ConjunctiveQuery& q, const Database& db);
@@ -90,13 +80,6 @@ std::vector<AnswerHomomorphisms> GroupHomomorphismsByAnswer(
 // are materialized back to Values at the end).
 std::vector<Homomorphism> EnumerateHomomorphisms(const ConjunctiveQuery& q,
                                                  const Database& db);
-
-// Reference implementation of EnumerateHomomorphisms: the original
-// unindexed backtracking join that scans every fact of an atom's relation.
-// Retained as the differential-testing oracle for the indexed join; both
-// must produce the same homomorphism set (possibly in different order).
-std::vector<Homomorphism> EnumerateHomomorphismsNaive(
-    const ConjunctiveQuery& q, const Database& db);
 
 // Evaluates Q over the sub-database D_x ∪ E where E is given as a set of
 // endogenous fact ids (bitmask over `endo_index`, see below). Exogenous

@@ -12,7 +12,7 @@
 
 #include "shapcq/data/db_io.h"
 #include "shapcq/lineage/circuit_cache.h"
-#include "shapcq/lineage/engine.h"
+#include "shapcq/lineage/stats.h"
 #include "shapcq/obs/log.h"
 #include "shapcq/persist/artifact.h"
 #include "shapcq/query/evaluator.h"

@@ -28,20 +28,13 @@ namespace shapcq {
 
 // sum_k series for A = Avg ∘ τ ∘ Q or Qnt_q ∘ τ ∘ Q. Returns UNSUPPORTED
 // unless the query is self-join-free and q-hierarchical and τ is localized
-// on some atom of Q. The quintuple counts run on CountValue (fixed-width
-// fast path, escaping to BigInt on overflow); arithmetic is exact in
-// either representation, so results are bitwise-identical to the BigInt
-// oracle below.
+// on some atom of Q. The quintuple counts (avg_quantile_dp.h) run on
+// CountValue (fixed-width fast path, escaping to BigInt on overflow);
+// arithmetic is exact in either representation, so results are
+// bitwise-identical to a pure-BigInt instantiation of the same DP.
 StatusOr<SumKSeries> AvgQuantileSumK(const AggregateQuery& a,
                                      const Database& db,
                                      const SolverOptions& options = {});
-
-// The same DP instantiated on pure BigInt counts — the differential oracle
-// for the CountValue production path. Tests compare the two series element
-// for element; production callers should use AvgQuantileSumK.
-StatusOr<SumKSeries> AvgQuantileSumKBigInt(const AggregateQuery& a,
-                                           const Database& db,
-                                           const SolverOptions& options = {});
 
 // The paper's f_q(ℓ<, ℓ=, ℓ>): the contribution (0, 1/2 or 1) of the anchor
 // to the q-quantile of a bag with that profile. Exposed for testing.

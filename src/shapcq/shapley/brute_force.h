@@ -21,10 +21,11 @@
 namespace shapcq {
 
 // Largest |D_n| the brute-force engines accept. Past this horizon the
-// session either solves exactly through the lineage-circuit engine
-// (Sum/Count with compilable provenance, lineage/engine.h) or samples;
-// under kExactOnly it returns a structured status naming this limit, the
-// player count, and the engines consulted (session.h).
+// session either solves exactly through the lineage-circuit engine (Sum,
+// Count, CountDistinct, Max or Min with compilable provenance,
+// lineage/engine.h) or samples; under kExactOnly it returns a structured
+// status naming this limit, the player count, and the engines consulted
+// (session.h).
 inline constexpr int kBruteForceMaxPlayers = 26;
 
 // sum_k(A, D) by subset enumeration.

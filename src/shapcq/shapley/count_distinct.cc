@@ -7,6 +7,7 @@
 #include "shapcq/query/evaluator.h"
 #include "shapcq/shapley/dp_util.h"
 #include "shapcq/shapley/engine_registry.h"
+#include "shapcq/shapley/linearity.h"
 #include "shapcq/shapley/membership.h"
 #include "shapcq/shapley/sum_count.h"
 #include "shapcq/util/check.h"
@@ -14,9 +15,11 @@
 
 namespace shapcq {
 
-StatusOr<SumKSeries> CountDistinctSumK(const AggregateQuery& a,
-                                       const Database& db,
-                                       const SolverOptions& /*options*/) {
+namespace {
+
+// The gates of CountDistinctSumK, shared with the batched scorer so both
+// fail identically; returns the localization atom.
+StatusOr<int> CheckCountDistinctShape(const AggregateQuery& a) {
   if (a.alpha.kind() != AggKind::kCountDistinct) {
     return UnsupportedError("CountDistinctSumK handles CountDistinct only");
   }
@@ -32,9 +35,19 @@ StatusOr<SumKSeries> CountDistinctSumK(const AggregateQuery& a,
     return UnsupportedError("value function is not localized on any atom of " +
                             a.query.ToString());
   }
+  return localization[0];
+}
+
+}  // namespace
+
+StatusOr<SumKSeries> CountDistinctSumK(const AggregateQuery& a,
+                                       const Database& db,
+                                       const SolverOptions& /*options*/) {
+  StatusOr<int> localization = CheckCountDistinctShape(a);
+  if (!localization.ok()) return localization.status();
+  const int atom_index = *localization;
   const std::string& relation =
-      a.query.atoms()[static_cast<size_t>(localization[0])].relation;
-  const int atom_index = localization[0];
+      a.query.atoms()[static_cast<size_t>(atom_index)].relation;
 
   // The distinct values actually realized by answers.
   std::set<Rational> values;
@@ -72,6 +85,25 @@ StatusOr<SumKSeries> CountDistinctSumK(const AggregateQuery& a,
   return series;
 }
 
+StatusOr<std::vector<std::pair<FactId, Rational>>> CountDistinctScoreAll(
+    const AggregateQuery& a, const Database& db,
+    const SolverOptions& options) {
+  StatusOr<int> localization = CheckCountDistinctShape(a);
+  if (!localization.ok()) return localization.status();
+  if (db.num_endogenous() == 0) {
+    return std::vector<std::pair<FactId, Rational>>{};
+  }
+  StatusOr<std::vector<std::pair<FactId, Rational>>> scores =
+      ScoreGroupsOnCircuits(a, db, GroupHomomorphismsByAnswer(a.query, db),
+                            options);
+  if (scores.ok() || scores.status().code() != StatusCode::kUnsupported) {
+    return scores;
+  }
+  // A value group past the compile budget: the Boolean-reduction DP, fact
+  // by fact through the identity scorer.
+  return ScoreAllViaSumK(a, db, CountDistinctSumK, options);
+}
+
 void RegisterCountDistinctEngines(EngineRegistry& registry) {
   EngineProvider primary;
   primary.name = "count-distinct/boolean-reduction";
@@ -80,6 +112,7 @@ void RegisterCountDistinctEngines(EngineRegistry& registry) {
     return a.alpha.kind() == AggKind::kCountDistinct;
   };
   primary.sum_k = CountDistinctSumK;
+  primary.score_all = CountDistinctScoreAll;
   registry.Register(std::move(primary));
 
   // Section 7.1: with a unary head and an injective tau, distinct answers

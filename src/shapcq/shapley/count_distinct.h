@@ -8,10 +8,15 @@
 //   sum_k(CDist ∘ τ ∘ Q, D) = Σ_a pad(c(Q_bool, D_a), removed_a)[k],
 //
 // where c are satisfaction counts and pad re-inserts the removed endogenous
-// facts as never-satisfying padding.
+// facts as never-satisfying padding. Read as linearity, the same reduction
+// is one group game per value (shapley/linearity.h), which is how the
+// batched scorer runs it.
 
 #ifndef SHAPCQ_SHAPLEY_COUNT_DISTINCT_H_
 #define SHAPCQ_SHAPLEY_COUNT_DISTINCT_H_
+
+#include <utility>
+#include <vector>
 
 #include "shapcq/agg/aggregate.h"
 #include "shapcq/data/database.h"
@@ -27,6 +32,16 @@ namespace shapcq {
 StatusOr<SumKSeries> CountDistinctSumK(const AggregateQuery& a,
                                        const Database& db,
                                        const SolverOptions& options = {});
+
+// Batched all-facts scorer with the same gates as CountDistinctSumK: one
+// group game per τ-value (the answers with that value, weight 1) through
+// the group driver on lineage circuits (linearity.h). If a value's circuit
+// exceeds options.lineage's budget, the batch falls back to the identity
+// scorer over CountDistinctSumK (ScoreAllViaSumK). Values are
+// bitwise-identical to per-fact ScoreViaSumK for every thread count.
+StatusOr<std::vector<std::pair<FactId, Rational>>> CountDistinctScoreAll(
+    const AggregateQuery& a, const Database& db,
+    const SolverOptions& options = {});
 
 class EngineRegistry;
 

@@ -38,9 +38,9 @@ StatusOr<std::vector<BigInt>> SatisfactionCounts(const ConjunctiveQuery& q,
 // Low-level entry point used by the per-aggregate dynamic programs: counts
 // over exactly the endogenous facts of `facts`, length (their number) + 1,
 // which must all match their atom of `q` (no relevance splitting, no
-// padding — the batched Sum/Count scorer passes one answer's facts and
-// scores them at that player count). `q` is treated as Boolean and must be
-// self-join-free and hierarchical; aborts otherwise.
+// padding — the batched Sum/Count scorer's budget fallback passes one
+// answer's facts and scores them at that player count). `q` is treated as
+// Boolean and must be self-join-free and hierarchical; aborts otherwise.
 std::vector<BigInt> SatisfactionCountsOnSubset(const ConjunctiveQuery& q,
                                                const FactSubset& facts,
                                                Combinatorics* comb);

@@ -11,8 +11,10 @@
 #include "shapcq/agg/value_function.h"
 #include "shapcq/hierarchy/classification.h"
 #include "shapcq/query/decomposition.h"
+#include "shapcq/query/evaluator.h"
 #include "shapcq/shapley/dp_util.h"
 #include "shapcq/shapley/engine_registry.h"
+#include "shapcq/shapley/linearity.h"
 #include "shapcq/shapley/membership.h"
 #include "shapcq/util/check.h"
 #include "shapcq/util/combinatorics.h"
@@ -60,6 +62,7 @@ struct MinMaxSetup {
   std::vector<TauGroup> groups;
   MonoidKind fold = MonoidKind::kMax;
   bool negate = false;
+  bool localized = false;  // one group holding the whole of τ
 };
 
 Key Fold(MonoidKind kind, const Key& a, const Key& b) {
@@ -409,6 +412,7 @@ StatusOr<MinMaxSetup> SetUp(const AggregateQuery& a) {
   MinMaxSetup setup;
   setup.negate = !is_max;
   if (!LocalizationAtoms(a.query, *a.tau).empty()) {
+    setup.localized = true;
     TauGroup group{{}, a.tau};
     for (int position : a.tau->DependsOn()) {
       group.variables.push_back(head_var(position));
@@ -450,10 +454,15 @@ StatusOr<SumKSeries> MinMaxSumK(const AggregateQuery& a, const Database& db,
   return solver.Series(top);
 }
 
-// Equivalence with per-fact ScoreViaSumK(MinMaxSumK): F_f (f exogenous)
-// has exactly the facts of D, so its relevance split coincides with D's,
-// and its structure is the leave-one-out variant of f — exact subset
-// counting, the integers a from-scratch solve of F_f would produce.
+// A localized τ scores through the threshold group games (linearity.h):
+// Max = Σ_i w_i·[some answer has τ ≥ v_i] is the same game as the DP's, so
+// the exact values coincide. A threshold group past options.lineage's
+// compile budget, and every monoid τ, take the leave-one-out DP instead.
+//
+// Equivalence of the DP with per-fact ScoreViaSumK(MinMaxSumK): F_f (f
+// exogenous) has exactly the facts of D, so its relevance split coincides
+// with D's, and its structure is the leave-one-out variant of f — exact
+// subset counting, the integers a from-scratch solve of F_f would produce.
 // ScoreFactsByIdentity derives G_f and scores the null players.
 StatusOr<std::vector<std::pair<FactId, Rational>>> MinMaxScoreAll(
     const AggregateQuery& a, const Database& db,
@@ -462,6 +471,14 @@ StatusOr<std::vector<std::pair<FactId, Rational>>> MinMaxScoreAll(
   if (!setup.ok()) return setup.status();
   if (db.num_endogenous() == 0) {
     return std::vector<std::pair<FactId, Rational>>{};
+  }
+  if (setup->localized) {
+    StatusOr<std::vector<std::pair<FactId, Rational>>> scores =
+        ScoreGroupsOnCircuits(a, db, GroupHomomorphismsByAnswer(a.query, db),
+                              options);
+    if (scores.ok() || scores.status().code() != StatusCode::kUnsupported) {
+      return scores;
+    }
   }
   Database work = db;
   Combinatorics comb;

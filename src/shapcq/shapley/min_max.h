@@ -37,12 +37,15 @@ namespace shapcq {
 StatusOr<SumKSeries> MinMaxSumK(const AggregateQuery& a, const Database& db,
                                 const SolverOptions& options = {});
 
-// Batched all-facts scorer with the same gates as MinMaxSumK. One
-// leave-one-out pass of the DP yields every fact's derived database F
-// (fact exogenous), which ScoreFactsByIdentity (score.h) turns into scores
-// — G from the partition identity, null players an exact 0, facts sharded
-// over options.num_threads; values are bitwise-identical to per-fact
-// ScoreViaSumK for every thread count.
+// Batched all-facts scorer with the same gates as MinMaxSumK. A localized
+// τ runs the threshold group games through the group driver on lineage
+// circuits (linearity.h). A monoid τ, or a threshold group whose circuit
+// exceeds options.lineage's budget, runs one leave-one-out pass of the DP
+// instead: it yields every fact's derived database F (fact exogenous),
+// which ScoreFactsByIdentity (score.h) turns into scores — G from the
+// partition identity, null players an exact 0, facts sharded over
+// options.num_threads. Either way the values are bitwise-identical to
+// per-fact ScoreViaSumK for every thread count.
 StatusOr<std::vector<std::pair<FactId, Rational>>> MinMaxScoreAll(
     const AggregateQuery& a, const Database& db,
     const SolverOptions& options = {});

@@ -67,7 +67,7 @@ SumKSeries RemovedSeriesFromIdentity(const SumKSeries& full_series,
 using ExogenousSeriesFn = std::function<StatusOr<SumKSeries>(FactId)>;
 
 // The fact-level scoring path of every sum_k engine — the counterpart of
-// the per-answer ScoreAnswersByLinearity (linearity.h). Given
+// the per-group ScoreGroupsByLinearity (linearity.h). Given
 // full_series = sum_k(A, D), scores each endogenous fact f from F_f's
 // series (`new_worker()`'s function) and G_f's, which follows from the
 // partition identity. A fact no atom of q matches (SplitRelevantIndexed)

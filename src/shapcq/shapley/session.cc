@@ -1,6 +1,6 @@
 #include "shapcq/shapley/session.h"
 
-#include "shapcq/lineage/engine.h"
+#include "shapcq/lineage/stats.h"
 #include "shapcq/obs/trace.h"
 #include "shapcq/shapley/brute_force.h"
 #include "shapcq/shapley/solver.h"

@@ -11,7 +11,8 @@
 //     structure for sampling (SupportEvaluator), built on first use.
 //
 // ComputeAll batches across facts: engines with a batched scorer (e.g.
-// Sum/Count) share per-answer work across every fact; the brute-force
+// the group games of Sum, Count, CountDistinct, Max and Min) share
+// per-group work across every fact; the brute-force
 // fallback sweeps the subset lattice once for all facts; the Monte Carlo
 // fallback samples through the shared support structure; and per-fact
 // engine runs fan out over a thread pool with deterministic result order.

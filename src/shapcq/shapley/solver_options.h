@@ -29,7 +29,7 @@ enum class SolveMethod {
 };
 
 // Per-request circuit-cache attribution sink (lineage/circuit_cache.h).
-// The lineage engine shards answers over a thread pool, so a request that
+// The group driver shards groups over a thread pool, so a request that
 // wants its own hit/miss split (the daemon's per-tenant metrics) passes a
 // pointer here and the shards add into it with relaxed atomics.
 struct CircuitCacheCounters {
@@ -37,20 +37,22 @@ struct CircuitCacheCounters {
   std::atomic<uint64_t> misses{0};
 };
 
-// Compilation budget of the lineage-circuit engine (lineage/engine.h).
-// Exceeding any limit makes the engine fail with UNSUPPORTED for the
-// offending computation, and the session falls through to brute force
-// (small instances) or Monte Carlo — approximate, but never wrong.
+// Compilation budget of the group games' lineage circuits
+// (shapley/linearity.h). Exceeding any limit fails the offending group
+// with UNSUPPORTED: an engine with an exact DP (sum-count, min-max,
+// count-distinct) falls back to it, and lineage-circuit fails so the
+// session falls through to brute force (small instances) or Monte Carlo —
+// approximate, but never wrong.
 struct LineageOptions {
-  // Maximum decision-DNNF nodes per answer circuit.
+  // Maximum decision-DNNF nodes per group circuit.
   int64_t max_circuit_nodes = int64_t{1} << 17;
-  // Maximum lineage variables (endogenous facts) per answer.
+  // Maximum lineage variables (endogenous facts) per group.
   int max_answer_vars = 256;
-  // Maximum DNF clauses (homomorphisms) per answer before compilation.
+  // Maximum DNF clauses (minimal supports) per group before compilation.
   int64_t max_answer_clauses = 8192;
-  // Consult the process-wide cross-tenant CircuitCache for each answer's
+  // Consult the process-wide cross-tenant CircuitCache for each group's
   // compiled circuit (scores are bitwise-identical either way; off means
-  // every answer compiles privately).
+  // every group compiles privately).
   bool share_circuits = true;
   // Optional per-request hit/miss sink; null means only the cache's own
   // global counters record the traffic. Borrowed, not owned.
@@ -70,14 +72,15 @@ struct SolverOptions {
   // Cooperative cancellation for serving deadlines (serve/server.h). When
   // set, the session polls it on the solving thread at coarse phase
   // boundaries — before the exact sweep, between engines, and before the
-  // brute-force/Monte-Carlo fallback — and the fact-level batch scorer
-  // (ScoreFactsByIdentity, score.h) polls it from its workers before every
-  // fact, so the hook must be thread-safe. A true return makes the call
-  // fail with StatusCode::kDeadlineExceeded instead of starting the next
-  // phase; a cancelled batch is abandoned whole, so results that do
-  // complete stay bitwise-deterministic. Other batches (per-answer
-  // linearity, lineage circuits) run to completion. Null means never
-  // cancelled.
+  // brute-force/Monte-Carlo fallback — and both batch drivers poll it from
+  // their workers: the group driver (ScoreGroupsByLinearity, linearity.h)
+  // before every group and the fact-level scorer (ScoreFactsByIdentity,
+  // score.h) before every fact, so the hook must be thread-safe. A true
+  // return makes the call fail with StatusCode::kDeadlineExceeded instead
+  // of starting the next phase; a cancelled batch is abandoned whole (it
+  // never triggers an engine's budget fallback), so results that do
+  // complete stay bitwise-deterministic. The full-database DP run that
+  // precedes a fact-level batch is not polled. Null means never cancelled.
   std::function<bool()> cancelled;
   // Optional per-request trace sink (obs/trace.h). Borrowed, not owned,
   // and NOT thread-safe: span sites record on the calling thread only —

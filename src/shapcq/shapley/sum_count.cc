@@ -87,14 +87,12 @@ StatusOr<std::vector<std::pair<FactId, Rational>>> SumCountScoreAll(
   //
   // Binding and the SatisfactionCounts gates run serially, so the batch
   // fails on exactly the answer the serial path would.
-  const std::vector<AnswerHomomorphisms> groups =
+  const std::vector<AnswerHomomorphisms> answers =
       GroupHomomorphismsByAnswer(a.query, db);
   std::vector<ConjunctiveQuery> bound;
-  std::vector<const Tuple*> answers;
-  bound.reserve(groups.size());
-  answers.reserve(groups.size());
-  for (const AnswerHomomorphisms& group : groups) {
-    ConjunctiveQuery q_t = BindAnswer(a.query, group.answer);
+  bound.reserve(answers.size());
+  for (const AnswerHomomorphisms& answer : answers) {
+    ConjunctiveQuery q_t = BindAnswer(a.query, answer.answer);
     if (q_t.HasSelfJoin()) {
       return UnsupportedError(
           "satisfaction counts require a self-join-free CQ");
@@ -104,19 +102,22 @@ StatusOr<std::vector<std::pair<FactId, Rational>>> SumCountScoreAll(
           "satisfaction counts require a hierarchical CQ: " + q_t.ToString());
     }
     bound.push_back(std::move(q_t));
-    answers.push_back(&group.answer);
   }
 
-  // Answer t's game from the DP over U_t (endogenous and exogenous facts)
-  // and over U_t \ {f} per player f, i.e. G_f. F_f (f exogenous) follows
-  // from the partition identity c_{k+1}(U_t) = c_{k+1}(G_f) + c_k(F_f), so
-  // the pivots of f are c_k(F_f) − c_k(G_f) =
-  // c_{k+1}(U_t) − c_{k+1}(G_f) − c_k(G_f), with c_m(G_f) = 0.
-  auto count = [&](size_t t, Combinatorics* comb) -> StatusOr<AnswerGame> {
-    AnswerGame game;
+  // Each answer's game is counted on its lineage circuit. An answer whose
+  // circuit exceeds options.lineage's budget falls back to the DP over U_t
+  // (endogenous and exogenous facts) and over U_t \ {f} per player f, i.e.
+  // G_f. F_f (f exogenous) follows from the partition identity
+  // c_{k+1}(U_t) = c_{k+1}(G_f) + c_k(F_f), so the pivots of f are
+  // c_k(F_f) − c_k(G_f) = c_{k+1}(U_t) − c_{k+1}(G_f) − c_k(G_f), with
+  // c_m(G_f) = 0.
+  auto satisfaction_game = [&](const AnswerGroup& group,
+                               Combinatorics* comb) -> StatusOr<GroupGame> {
+    const size_t t = group.answers.front();
+    GroupGame game;
     FactSubset support;
     support.db = &db;
-    for (const std::vector<FactId>& used : groups[t].used_facts) {
+    for (const std::vector<FactId>& used : answers[t].used_facts) {
       bool has_endogenous = false;
       for (FactId id : used) {
         has_endogenous = has_endogenous || db.fact(id).endogenous;
@@ -151,7 +152,7 @@ StatusOr<std::vector<std::pair<FactId, Rational>>> SumCountScoreAll(
     }
     return game;
   };
-  return ScoreAnswersByLinearity(a, db, answers, count, options);
+  return ScoreGroupsOnCircuits(a, db, answers, options, satisfaction_game);
 }
 
 void RegisterSumCountEngine(EngineRegistry& registry) {

@@ -26,14 +26,16 @@ StatusOr<SumKSeries> SumCountSumK(const AggregateQuery& a, const Database& db,
                                   const SolverOptions& options = {});
 
 // Batched all-facts scorer: the value every endogenous fact gets from the
-// per-fact sum_k path, computed per answer (linearity.h). Each answer t's
-// Boolean query Q_t is scored over only the facts t's homomorphisms use
-// (its m_t endogenous facts are the players, at m_t-player weights; every
-// other fact is a null player of Q_t's game): one satisfaction-count DP
-// over those facts plus one per player with it removed. Nothing is padded
-// to all n endogenous facts. Answers shard over options.num_threads
-// workers and merge in answer order, so the exact values are identical to
-// the per-fact path and invariant under the thread count.
+// per-fact sum_k path, computed per answer through the group driver
+// (linearity.h). Each answer t's Boolean query Q_t is scored over only the
+// facts t's homomorphisms use (its m_t endogenous facts are the players,
+// at m_t-player weights; every other fact is a null player of Q_t's game)
+// by one counting pass over its lineage circuit. An answer whose circuit
+// exceeds options.lineage's budget falls back to the satisfaction-count
+// DP over those facts plus one per player with it removed. Nothing is
+// padded to all n endogenous facts. Answers shard over
+// options.num_threads workers, so the exact values are identical to the
+// per-fact path and invariant under the thread count.
 StatusOr<std::vector<std::pair<FactId, Rational>>> SumCountScoreAll(
     const AggregateQuery& a, const Database& db,
     const SolverOptions& options = {});

@@ -4,9 +4,9 @@
 #include <utility>
 
 #include "shapcq/lineage/circuit.h"
-#include "shapcq/lineage/engine.h"
 #include "shapcq/lineage/lineage.h"
 #include "shapcq/query/evaluator.h"
+#include "shapcq/shapley/linearity.h"
 #include "shapcq/util/check.h"
 #include "shapcq/util/combinatorics.h"
 
@@ -14,15 +14,28 @@ namespace shapcq {
 
 namespace {
 
-// The incremental path exists for the linear aggregates only — the same
-// family the lineage-circuit engine handles — and respects an explicit
-// method override (a requested Monte Carlo run must sample, not patch).
+// The incremental path exists for Sum and Count only — one group game
+// per answer, so a mutation dirties just the answers it touches — and
+// respects an explicit method override (a requested Monte Carlo run must
+// sample, not patch).
 bool IncrementalApplies(const AggregateQuery& a, const SolverOptions& options) {
   if (a.alpha.kind() != AggKind::kSum && a.alpha.kind() != AggKind::kCount) {
     return false;
   }
   return options.method != SolveMethod::kMonteCarlo &&
          options.method != SolveMethod::kBruteForce;
+}
+
+// One answer's weighted contributions: its circuit game (a minimized DNF
+// over FactId literals) scored at its own player count, or nothing for a
+// zero weight.
+StatusOr<std::vector<std::pair<int, Rational>>> ScoreAnswerClauses(
+    const std::vector<std::vector<int>>& clauses, const Rational& weight,
+    const SolverOptions& options, Combinatorics* comb) {
+  if (weight.is_zero()) return std::vector<std::pair<int, Rational>>{};
+  StatusOr<GroupGame> game = CircuitGroupGame(clauses, options.lineage, comb);
+  if (!game.ok()) return game.status();
+  return ScoreGroupGame(*game, weight, options.score, comb);
 }
 
 SolveResult ExactResult(Rational score) {
@@ -168,8 +181,7 @@ Status StreamingSolver::RebuildAll() {
     }
     entry.weight = WeightOf(answer.answer);
     StatusOr<std::vector<std::pair<int, Rational>>> scored =
-        ScoreAnswerClauses(entry.clauses, entry.weight, options_.score,
-                           options_.lineage, &comb);
+        ScoreAnswerClauses(entry.clauses, entry.weight, options_, &comb);
     if (!scored.ok()) return scored.status();
     entry.contributions = std::move(scored).value();
     cache_.emplace(answer.answer, std::move(entry));
@@ -202,8 +214,7 @@ Status StreamingSolver::RefreshDirty() {
     entry.clauses = std::move(clauses);
     entry.weight = WeightOf(answer);
     StatusOr<std::vector<std::pair<int, Rational>>> scored =
-        ScoreAnswerClauses(entry.clauses, entry.weight, options_.score,
-                           options_.lineage, &comb);
+        ScoreAnswerClauses(entry.clauses, entry.weight, options_, &comb);
     if (!scored.ok()) return scored.status();
     entry.contributions = std::move(scored).value();
     ++stats_.answers_recomputed;

@@ -12,13 +12,38 @@
 #include "shapcq/data/database.h"
 #include "shapcq/query/parser.h"
 #include "shapcq/shapley/avg_quantile.h"
+#include "shapcq/shapley/avg_quantile_dp.h"
 #include "shapcq/shapley/brute_force.h"
 #include "shapcq/shapley/closed_forms.h"
 #include "shapcq/shapley/score.h"
 #include "shapcq/workload/generators.h"
 
 namespace shapcq {
+
+// Pure BigInt counts for the quintuple DP: the differential oracle of the
+// CountValue production path.
+template <>
+struct avg_quantile_dp::CountOps<BigInt> {
+  static BigInt FromBigInt(const BigInt& value) { return value; }
+  static void AddProduct(BigInt& acc, const BigInt& a, const BigInt& b) {
+    acc += a * b;
+  }
+  static void AddProductBig(BigInt& acc, const BigInt& a, const BigInt& b) {
+    acc += a * b;
+  }
+  static BigInt Binomial(Combinatorics* comb, int64_t n, int64_t k) {
+    return comb->Binomial(n, k);
+  }
+  static BigInt ToBigInt(const BigInt& value) { return value; }
+};
+
 namespace {
+
+// The quintuple DP instantiated on pure BigInt counts.
+StatusOr<SumKSeries> AvgQuantileSumKBigInt(const AggregateQuery& a,
+                                           const Database& db) {
+  return avg_quantile_dp::AvgQuantileSumKImpl<BigInt>(a, db);
+}
 
 Rational R(int64_t n) { return Rational(n); }
 Rational R(int64_t n, int64_t d) { return Rational(BigInt(n), BigInt(d)); }

@@ -27,6 +27,7 @@
 #include "shapcq/query/parser.h"
 #include "shapcq/shapley/sum_count.h"
 #include "shapcq/workload/generators.h"
+#include "tests/naive_join.h"
 
 namespace shapcq {
 namespace {

@@ -9,9 +9,16 @@
 //   * Dup ∘ τ≡c = [#answers ≥ 2], matching the answer-count distribution;
 //   * closed forms (Props 4.2/4.4/5.2) vs the generic DPs;
 //   * Count == Sum with τ ≡ 1;
-//   * the sum-count DP and the lineage circuits count the same
-//     per-answer games.
+//   * the sum-count DP (its budget fallback) and the lineage circuits
+//     count the same per-answer games;
+//   * the frontier guarantee of the group games: on all-hierarchical
+//     queries with a localized τ every group circuit compiles within the
+//     budget and stays linear in the group's facts, and past the budget
+//     the Min/Max DP still scores exactly.
 
+#include <functional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -21,19 +28,25 @@
 #include "shapcq/data/database.h"
 #include "shapcq/hierarchy/classification.h"
 #include "shapcq/lineage/engine.h"
+#include "shapcq/lineage/stats.h"
 #include "shapcq/query/decomposition.h"
+#include "shapcq/query/evaluator.h"
 #include "shapcq/query/parser.h"
 #include "shapcq/shapley/answer_counts.h"
 #include "shapcq/shapley/avg_quantile.h"
 #include "shapcq/shapley/closed_forms.h"
 #include "shapcq/shapley/count_distinct.h"
 #include "shapcq/shapley/has_duplicates.h"
+#include "shapcq/shapley/linearity.h"
 #include "shapcq/shapley/membership.h"
 #include "shapcq/shapley/min_max.h"
 #include "shapcq/shapley/score.h"
+#include "shapcq/shapley/session.h"
 #include "shapcq/shapley/solver_options.h"
 #include "shapcq/shapley/sum_count.h"
 #include "shapcq/util/combinatorics.h"
+#include "shapcq/workload/generators.h"
+#include "shapcq/workload/random_query.h"
 
 namespace shapcq {
 namespace {
@@ -216,7 +229,11 @@ TEST(EngineScaleTest, SumCountMatchesLineageCircuitAtScale) {
       SolverOptions options;
       options.score = kind;
       options.num_threads = threads;
-      auto dp = SumCountScoreAll(a, db, options);
+      // No answer circuit fits a zero-variable budget, so sum-count counts
+      // every answer with its satisfaction-count DP fallback.
+      SolverOptions starved = options;
+      starved.lineage.max_answer_vars = 0;
+      auto dp = SumCountScoreAll(a, db, starved);
       auto circuits = LineageCircuitScoreAll(a, db, options);
       ASSERT_TRUE(dp.ok()) << dp.status().ToString();
       ASSERT_TRUE(circuits.ok()) << circuits.status().ToString();
@@ -233,6 +250,155 @@ TEST(EngineScaleTest, SumCountMatchesLineageCircuitAtScale) {
         EXPECT_EQ(total, grand);
       }
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The frontier guarantee of the group games
+// ---------------------------------------------------------------------------
+
+// Node bound per group fact. A hierarchical Boolean CQ's lineage is
+// read-once, and the compiler's decomposition and caching keep such
+// circuits linear (about m + 3 nodes on these inputs); the constant leaves
+// twice that room.
+constexpr int64_t kNodesPerFact = 2;
+
+using Scorer = std::function<StatusOr<std::vector<std::pair<FactId, Rational>>>(
+    const AggregateQuery&, const Database&, const SolverOptions&)>;
+
+// On the paper's tractable classes (all-hierarchical q, localized τ) each
+// group's lineage is the lineage of a hierarchical Boolean CQ over a
+// restricted database, hence read-once: the engine's group path records no
+// budget fallback, and every group circuit stays linear in its facts.
+void ExpectFrontierGuarantee(const AggregateQuery& a, const Database& db,
+                             const Scorer& scorer, const std::string& label) {
+  SolverOptions options;
+  options.num_threads = 1;
+  options.lineage.share_circuits = false;  // compile every group afresh
+  LineageStats::Global().Reset();
+  auto scores = scorer(a, db, options);
+  ASSERT_TRUE(scores.ok()) << label << ": " << scores.status().ToString();
+  EXPECT_EQ(LineageStats::Global().Snapshot().budget_fallbacks, 0u) << label;
+
+  const std::vector<AnswerHomomorphisms> answers =
+      GroupHomomorphismsByAnswer(a.query, db);
+  std::vector<const Tuple*> tuples;
+  for (const AnswerHomomorphisms& answer : answers) {
+    tuples.push_back(&answer.answer);
+  }
+  auto groups = AnswerGroupsOf(a, tuples);
+  ASSERT_TRUE(groups.ok()) << label;
+  const auto lineages = AnswerLineages(answers, db);
+  Combinatorics comb;
+  for (const AnswerGroup& group : *groups) {
+    const std::vector<std::vector<int>> clauses = GroupLineage(lineages, group);
+    if (ConstantTrue(clauses)) continue;
+    auto compiled = CompileLineage(clauses, options.lineage, &comb);
+    ASSERT_TRUE(compiled.ok()) << label;
+    const int64_t m = static_cast<int64_t>(compiled->players.size());
+    EXPECT_LE(compiled->entry->circuit.num_nodes(), kNodesPerFact * m + 2)
+        << label << ": group of " << group.answers.size() << " answers over "
+        << m << " facts";
+  }
+}
+
+TEST(EngineScaleTest, GroupGamesStayInsideTheBudgetOnTheFrontier) {
+  ConjunctiveQuery q = MustParseQuery("Q(x) <- R(x, y), S(y)");
+  const Database large = LargeDb();
+  for (AggregateFunction alpha :
+       {AggregateFunction::Max(), AggregateFunction::Min()}) {
+    ExpectFrontierGuarantee(AggregateQuery{q, MakeTauId(0), alpha}, large,
+                            MinMaxScoreAll, "LargeDb " + alpha.ToString());
+  }
+  ExpectFrontierGuarantee(
+      AggregateQuery{q, MakeTauId(0), AggregateFunction::CountDistinct()},
+      large, CountDistinctScoreAll, "LargeDb CountDistinct");
+  ConjunctiveQuery q_xy = MustParseQuery("Q(x, y) <- R(x, y), S(y)");
+  ExpectFrontierGuarantee(
+      AggregateQuery{q_xy, MakeTauId(0), AggregateFunction::Max()}, large,
+      MinMaxScoreAll, "LargeDb Q(x, y) Max");
+
+  Database single;
+  for (int i = 0; i < 200; ++i) {
+    single.AddEndogenous("R", {Value(i), Value((i * 37) % 41 - 13)});
+  }
+  ConjunctiveQuery q_single = MustParseQuery("Q(i, v) <- R(i, v)");
+  ExpectFrontierGuarantee(
+      AggregateQuery{q_single, MakeTauId(1), AggregateFunction::Max()},
+      single, MinMaxScoreAll, "200-fact single relation Max");
+  ExpectFrontierGuarantee(
+      AggregateQuery{q_single, MakeTauId(1),
+                     AggregateFunction::CountDistinct()},
+      single, CountDistinctScoreAll, "200-fact single relation CDist");
+
+  ExpectFrontierGuarantee(
+      AggregateQuery{q, MakeTauId(0), AggregateFunction::Sum()},
+      SumCountScaleDb(/*endogenous=*/true), SumCountScoreAll,
+      "546-fact Sum");
+}
+
+TEST(EngineScaleTest, GroupGamesStayInsideTheBudgetOnRandomFrontierInputs) {
+  int checked = 0;
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    RandomQueryOptions query_options;
+    query_options.max_variables = 4;
+    query_options.seed = seed * 31 + 7;
+    ConjunctiveQuery q =
+        RandomQueryOfClass(HierarchyClass::kAllHierarchical, query_options);
+    if (q.arity() == 0) continue;
+    RandomDatabaseOptions db_options;
+    db_options.facts_per_relation = 24;
+    db_options.domain_size = 8;
+    db_options.seed = seed;
+    Database db = RandomDatabaseForQuery(q, db_options);
+    if (db.num_endogenous() == 0) continue;
+    ASSERT_FALSE(LocalizationAtoms(q, *MakeTauId(0)).empty());
+    const std::string label = q.ToString() + " seed " + std::to_string(seed);
+    for (AggregateFunction alpha :
+         {AggregateFunction::Max(), AggregateFunction::Min()}) {
+      ExpectFrontierGuarantee(AggregateQuery{q, MakeTauId(0), alpha}, db,
+                              MinMaxScoreAll, label);
+    }
+    ExpectFrontierGuarantee(
+        AggregateQuery{q, MakeTauId(0), AggregateFunction::CountDistinct()},
+        db, CountDistinctScoreAll, label);
+    ExpectFrontierGuarantee(
+        AggregateQuery{q, MakeTauId(0), AggregateFunction::Sum()}, db,
+        SumCountScoreAll, label);
+    ++checked;
+  }
+  EXPECT_GE(checked, 4);
+}
+
+// Past max_answer_vars (256) the first threshold group — every answer —
+// cannot compile, so the Min/Max engine falls back to its leave-one-out DP
+// and stays exact under its own name.
+TEST(EngineScaleTest, LocalizedMaxPastTheBudgetFallsBackToTheDp) {
+  Database db;
+  const int groups = 100;
+  for (int i = 0; i < 2 * groups; ++i) {
+    db.AddEndogenous("R", {Value(i / groups + 1), Value(i % groups)});
+  }
+  for (int g = 0; g < groups; ++g) db.AddEndogenous("S", {Value(g)});
+  ConjunctiveQuery q = MustParseQuery("Q(x, y) <- R(x, y), S(y)");
+  AggregateQuery a{q, MakeTauId(0), AggregateFunction::Max()};
+  ASSERT_GT(db.num_endogenous(), 256);
+  LineageStats::Global().Reset();
+  SolverSession session(a, db);
+  auto all = session.ComputeAll();
+  ASSERT_TRUE(all.ok()) << all.status().ToString();
+  EXPECT_GT(LineageStats::Global().Snapshot().budget_fallbacks, 0u);
+  Rational total;
+  for (const auto& [fact, result] : *all) {
+    EXPECT_TRUE(result.is_exact);
+    EXPECT_EQ(result.algorithm, "min-max/all-hierarchical-dp");
+    total += result.exact;
+  }
+  EXPECT_EQ(total, a.Evaluate(db));  // A(D_x) = 0: no exogenous facts
+  for (FactId probe : {FactId{97}, FactId{200}}) {  // an R and an S fact
+    EXPECT_EQ((*all)[static_cast<size_t>(probe)].second.exact,
+              *ScoreViaSumK(a, db, probe, MinMaxSumK))
+        << "fact " << probe;
   }
 }
 

@@ -5,7 +5,8 @@
 //   * the formula-cache (compilation sharing) with counts still exact;
 //   * the engine, bitwise-equal to brute force on randomized
 //     non-hierarchical (and self-join) workloads, every score kind, thread
-//     counts {1, 2, 8};
+//     counts {1, 2, 8} — Sum and Count per answer, CountDistinct, Max and
+//     Min through their value and threshold groups;
 //   * exactness BEYOND the brute-force horizon (> 26 players), checked via
 //     the Shapley efficiency identity Σ_f Shapley_f = A(D) − A(D_x);
 //   * the compilation budget falling through to brute force / Monte Carlo;
@@ -277,6 +278,55 @@ TEST(LineageEngineTest, SumKSeriesMatchesBruteForce) {
   }
 }
 
+// CountDistinct, Max and Min are weighted sums of group games (one per
+// τ-value, one per threshold), so the engine serves them on any CQ and
+// any τ: bitwise brute force on the FP#P-hard side of their frontiers,
+// through score_all, score_one and sum_k.
+TEST(LineageEngineTest, GroupGamesMatchBruteForcePastTheFrontier) {
+  const std::vector<std::string> queries = {
+      "Q(z) <- R(z, x), S(x, y), T(y)",  // not hierarchical
+      "Q(x) <- R(x), S(x, y), T(y)",     // ∃- but not all-hierarchical
+      "Q(x) <- R(x, y), R(y, z)",        // self-join
+      "Q(x, z) <- R(x, y), R(y, z)",     // self-join, binary head
+  };
+  const std::vector<std::pair<ValueFunctionPtr, std::string>> taus = {
+      {MakeTauId(0), "tau_id"},
+      {MakeTauGreaterThan(0, Rational(2)), "tau_gt2"},
+      {MakeTauReLU(0), "tau_relu"},
+  };
+  int checked = 0;
+  for (const std::string& query : queries) {
+    ConjunctiveQuery q = MustParseQuery(query);
+    for (uint64_t seed : {3, 19}) {
+      RandomDatabaseOptions options;
+      options.facts_per_relation = 4;
+      options.domain_size = 4;
+      options.endogenous_percent = 80;
+      options.seed = seed;
+      Database db = RandomDatabaseForQuery(q, options);
+      if (db.num_endogenous() == 0 || db.num_endogenous() > 12) continue;
+      for (AggregateFunction alpha :
+           {AggregateFunction::CountDistinct(), AggregateFunction::Max(),
+            AggregateFunction::Min()}) {
+        for (const auto& [tau, tau_name] : taus) {
+          AggregateQuery a{q, tau, alpha};
+          const std::string label = a.ToString() + " " + tau_name +
+                                    " seed " + std::to_string(seed);
+          ExpectMatchesBruteForce(a, db, label);
+          auto brute = BruteForceSumK(a, db);
+          auto circuit = LineageCircuitSumK(a, db);
+          ASSERT_TRUE(brute.ok()) << label;
+          ASSERT_TRUE(circuit.ok()) << label << ": "
+                                    << circuit.status().ToString();
+          EXPECT_EQ(*circuit, *brute) << label;
+          ++checked;
+        }
+      }
+    }
+  }
+  EXPECT_GE(checked, 36);
+}
+
 TEST(LineageEngineTest, SumKRespectsConfiguredLineageBudget) {
   // Regression: SolverOptions now flows through SumKEngine, so a
   // starved budget must make LineageCircuitSumK refuse — it used to
@@ -398,10 +448,17 @@ TEST(LineagePlanTest, EngineChainAndFingerprints) {
   EXPECT_NE(plan->fingerprint(),
             AttributionPlan::Compile(sum, ScoreKind::kBanzhaf)
                 ->fingerprint());
-  // Min over the same query never gets the circuit engine (non-linear α).
+  // Min is a weighted sum of threshold group games: its chain ends in the
+  // circuit backstop behind the Min/Max DP. Avg is no such sum and never
+  // gets the circuit engine.
   AggregateQuery min_a{q, MakeTauId(0), AggregateFunction::Min()};
   auto min_plan = AttributionPlan::Compile(min_a);
-  for (const EngineProvider* engine : min_plan->engines()) {
+  ASSERT_FALSE(min_plan->engines().empty());
+  EXPECT_EQ(min_plan->engines().front()->name, "min-max/all-hierarchical-dp");
+  EXPECT_EQ(min_plan->engines().back()->name, "lineage-circuit");
+  AggregateQuery avg_a{q, MakeTauId(0), AggregateFunction::Avg()};
+  auto avg_plan = AttributionPlan::Compile(avg_a);
+  for (const EngineProvider* engine : avg_plan->engines()) {
     EXPECT_NE(engine->name, "lineage-circuit");
   }
 }

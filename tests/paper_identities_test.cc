@@ -114,12 +114,20 @@ TEST(Section71Test, InjectiveCDistRewriteUnlocksExistsHierarchical) {
     EXPECT_EQ(result->algorithm, "count-distinct/injective-count-rewrite");
     EXPECT_EQ(result->exact, *BruteForceScore(a, db, f));
   }
-  // With a NON-injective τ on the same query, exact-only must fail.
+  // With a NON-injective τ on the same query the rewrite does not apply:
+  // only the lineage circuits (the value groups' games) stay exact, and
+  // with their compile budget starved exact-only must fail.
   AggregateQuery hard{q, MakeTauGreaterThan(0, R(0)),
                       AggregateFunction::CountDistinct()};
   ShapleySolver hard_solver(hard);
-  EXPECT_FALSE(
-      hard_solver.Compute(db, db.EndogenousFacts().front(), exact_only).ok());
+  const FactId probe = db.EndogenousFacts().front();
+  auto circuit = hard_solver.Compute(db, probe, exact_only);
+  ASSERT_TRUE(circuit.ok()) << circuit.status().ToString();
+  EXPECT_EQ(circuit->algorithm, "lineage-circuit");
+  EXPECT_EQ(circuit->exact, *BruteForceScore(hard, db, probe));
+  SolverOptions starved = exact_only;
+  starved.lineage.max_circuit_nodes = 2;
+  EXPECT_FALSE(hard_solver.Compute(db, probe, starved).ok());
 }
 
 TEST(Section71Test, RewriteAgreesWithPrimaryEngineInsideFrontier) {

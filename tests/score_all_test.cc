@@ -8,6 +8,7 @@
 // deterministic order) and gate parity (a batched scorer fails with
 // exactly the series engine's error).
 
+#include <atomic>
 #include <functional>
 #include <string>
 #include <utility>
@@ -18,6 +19,7 @@
 #include "shapcq/agg/aggregate.h"
 #include "shapcq/agg/value_function.h"
 #include "shapcq/data/database.h"
+#include "shapcq/lineage/stats.h"
 #include "shapcq/query/parser.h"
 #include "shapcq/shapley/avg_quantile.h"
 #include "shapcq/shapley/plan.h"
@@ -73,7 +75,7 @@ Database WithUnmentionedRelation(Database db) {
 }
 
 // ---------------------------------------------------------------------------
-// MinMaxScoreAll (localized Min/Max DP)
+// MinMaxScoreAll (localized τ: threshold group games; monoid τ: the DP)
 // ---------------------------------------------------------------------------
 
 TEST(MinMaxScoreAllTest, MatchesPerFactOnRandomAllHierarchicalWorkloads) {
@@ -491,6 +493,159 @@ TEST(ScoreAllViaSumKTest, CancellationFailsTheWholeBatch) {
     ASSERT_TRUE(plain.ok()) << plain.status().ToString();
     ASSERT_TRUE(hooked.ok()) << hooked.status().ToString();
     EXPECT_EQ(*hooked, *plain) << "threads=" << threads;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The group driver: CountDistinct's batch, budget fallbacks, deadlines
+// ---------------------------------------------------------------------------
+
+// Options whose compile budget no group circuit fits (every non-constant
+// lineage has a variable), so each engine runs its DP fallback.
+SolverOptions Starved(ScoreKind kind, int num_threads = 0) {
+  SolverOptions options = Options(kind, num_threads);
+  options.lineage.max_answer_vars = 0;
+  return options;
+}
+
+using BatchScorer =
+    std::function<StatusOr<std::vector<std::pair<FactId, Rational>>>(
+        const AggregateQuery&, const Database&, const SolverOptions&)>;
+
+TEST(CountDistinctScoreAllTest, MatchesPerFactOnRandomAllHierarchicalWorkloads) {
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    RandomQueryOptions query_options;
+    query_options.max_variables = 3;
+    query_options.seed = seed * 17 + 2;
+    ConjunctiveQuery q =
+        RandomQueryOfClass(HierarchyClass::kAllHierarchical, query_options);
+    RandomDatabaseOptions db_options;
+    db_options.facts_per_relation = 4;
+    db_options.seed = seed * 5 + 1;
+    Database db = RandomDatabaseForQuery(q, db_options);
+    if (db.num_endogenous() == 0) continue;
+    ValueFunctionPtr tau =
+        q.arity() > 0 ? MakeTauId(0) : MakeConstantTau(Rational(1));
+    AggregateQuery a{q, tau, AggregateFunction::CountDistinct()};
+    const Database wider = WithUnmentionedRelation(db);
+    for (const Database* input : {&std::as_const(db), &wider}) {
+      for (ScoreKind kind : {ScoreKind::kShapley, ScoreKind::kBanzhaf}) {
+        const std::string label = a.ToString() + " seed " +
+                                  std::to_string(seed) +
+                                  (input == &db ? "" : " + unmentioned");
+        ExpectMatchesPerFact(CountDistinctScoreAll(a, *input, Options(kind)),
+                             a, *input, CountDistinctSumK, kind, label);
+        ExpectMatchesPerFact(CountDistinctScoreAll(a, *input, Starved(kind)),
+                             a, *input, CountDistinctSumK, kind,
+                             label + " (DP fallback)");
+      }
+    }
+  }
+}
+
+TEST(CountDistinctScoreAllTest, RefusesExactlyLikeTheSeriesEngine) {
+  ConjunctiveQuery q = MustParseQuery("Q(x) <- R(x), S(x, y), T(y)");
+  Database db;
+  db.AddEndogenous("R", {Value(1)});
+  db.AddEndogenous("S", {Value(1), Value(2)});
+  db.AddEndogenous("T", {Value(2)});
+  AggregateQuery a{q, MakeTauId(0), AggregateFunction::CountDistinct()};
+  auto batched = CountDistinctScoreAll(a, db);
+  auto series = CountDistinctSumK(a, db);
+  ASSERT_FALSE(batched.ok());
+  ASSERT_FALSE(series.ok());
+  EXPECT_EQ(batched.status().message(), series.status().message());
+}
+
+// Each group-game engine keeps its DP for circuits past the compile
+// budget; both roads produce the same bits, and the fallback is recorded.
+TEST(GroupDriverTest, BudgetFallbackToTheDpIsBitwiseIdentical) {
+  struct Case {
+    const char* query;
+    AggregateFunction alpha;
+    BatchScorer scorer;
+  };
+  const std::vector<Case> cases = {
+      {"Q(x) <- R(x), S(x, y), T(y)", AggregateFunction::Sum(),
+       SumCountScoreAll},
+      {"Q(x, y) <- R(x, y), S(y)", AggregateFunction::Max(), MinMaxScoreAll},
+      {"Q(x) <- R(x, y), S(y)", AggregateFunction::Min(), MinMaxScoreAll},
+      {"Q(x) <- R(x, y), S(y)", AggregateFunction::CountDistinct(),
+       CountDistinctScoreAll},
+  };
+  for (const Case& c : cases) {
+    ConjunctiveQuery q = MustParseQuery(c.query);
+    RandomDatabaseOptions db_options;
+    db_options.facts_per_relation = 8;
+    db_options.domain_size = 5;
+    db_options.seed = 29;
+    Database db = RandomDatabaseForQuery(q, db_options);
+    ASSERT_GT(db.num_endogenous(), 0);
+    AggregateQuery a{q, MakeTauId(0), c.alpha};
+    for (ScoreKind kind : {ScoreKind::kShapley, ScoreKind::kBanzhaf}) {
+      for (int threads : {1, 8}) {
+        const uint64_t fallbacks_before =
+            LineageStats::Global().Snapshot().budget_fallbacks;
+        auto dp = c.scorer(a, db, Starved(kind, threads));
+        EXPECT_GT(LineageStats::Global().Snapshot().budget_fallbacks,
+                  fallbacks_before)
+            << a.ToString();
+        auto circuits = c.scorer(a, db, Options(kind, threads));
+        ASSERT_TRUE(dp.ok()) << a.ToString() << ": " << dp.status().ToString();
+        ASSERT_TRUE(circuits.ok()) << a.ToString();
+        EXPECT_EQ(*dp, *circuits) << a.ToString() << " threads " << threads;
+      }
+    }
+  }
+}
+
+// Modeled on ScoreAllViaSumKTest.CancellationFailsTheWholeBatch: the group
+// driver polls before every group, a fired hook fails the batch whole, and
+// it never reaches an engine's DP fallback (one poll, no fact-level poll).
+TEST(GroupDriverTest, CancellationFailsTheWholeBatch) {
+  struct Case {
+    const char* query;
+    AggregateFunction alpha;
+    BatchScorer scorer;
+  };
+  const std::vector<Case> cases = {
+      {"Q(x) <- R(x), S(x, y), T(y)", AggregateFunction::Sum(),
+       SumCountScoreAll},
+      {"Q(x, y) <- R(x, y), S(y)", AggregateFunction::Max(), MinMaxScoreAll},
+  };
+  for (const Case& c : cases) {
+    ConjunctiveQuery q = MustParseQuery(c.query);
+    RandomDatabaseOptions db_options;
+    db_options.facts_per_relation = 6;
+    db_options.seed = 13;
+    Database db = RandomDatabaseForQuery(q, db_options);
+    ASSERT_GT(db.num_endogenous(), 0);
+    AggregateQuery a{q, MakeTauId(0), c.alpha};
+    for (int threads : {1, 8}) {
+      for (bool starved : {false, true}) {
+        std::atomic<int> polls{0};
+        SolverOptions fired = starved ? Starved(ScoreKind::kShapley, threads)
+                                      : Options(ScoreKind::kShapley, threads);
+        fired.cancelled = [&polls] {
+          polls.fetch_add(1);
+          return true;
+        };
+        auto cancelled = c.scorer(a, db, fired);
+        ASSERT_FALSE(cancelled.ok());
+        EXPECT_EQ(cancelled.status().code(), StatusCode::kDeadlineExceeded)
+            << a.ToString();
+        if (threads == 1) {
+          EXPECT_EQ(polls.load(), 1) << a.ToString();
+        }
+      }
+      auto plain = c.scorer(a, db, Options(ScoreKind::kShapley, threads));
+      SolverOptions unfired = Options(ScoreKind::kShapley, threads);
+      unfired.cancelled = [] { return false; };
+      auto hooked = c.scorer(a, db, unfired);
+      ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+      ASSERT_TRUE(hooked.ok()) << hooked.status().ToString();
+      EXPECT_EQ(*hooked, *plain) << a.ToString() << " threads=" << threads;
+    }
   }
 }
 

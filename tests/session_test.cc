@@ -29,6 +29,7 @@
 #include "shapcq/shapley/sum_count.h"
 #include "shapcq/workload/generators.h"
 #include "shapcq/workload/random_query.h"
+#include "tests/naive_join.h"
 
 namespace shapcq {
 namespace {
