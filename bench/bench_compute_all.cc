@@ -1,12 +1,13 @@
 // All-facts attribution throughput: per-fact Compute loop vs. the batched
 // SolverSession::ComputeAll, on generated Sum, Max, Min, CountDistinct,
-// HasDuplicates and Avg workloads. Sum, Max, Min and CountDistinct batch
-// through the group driver on lineage circuits (shapley/linearity.h) while
-// their per-fact path runs the frontier DP's sum_k, so this checks the
-// circuits against the DPs. Avg and HasDuplicates engines have no scorer
-// of their own: ComputeAll batches their sum_k through the fact-level
-// identity scorer (ScoreAllViaSumK), so this also checks that scorer
-// against the per-fact sum_k path.
+// HasDuplicates, Avg and Median workloads. Sum, Max, Min and CountDistinct
+// batch through the group driver on lineage circuits (shapley/linearity.h)
+// while their per-fact path runs the frontier DP's sum_k, so this checks
+// the circuits against the DPs. HasDuplicates, Avg and Median batch
+// through their engines' block-local fact sweeps (each fact re-solves only
+// its own top-level block next to the fold of the others), so this also
+// checks those sweeps against the per-fact sum_k path. The HasDuplicates
+// head repeats τ-values, so its scores are not all zero.
 //
 // This is the acceptance benchmark for the batched engine scorers:
 // ComputeAll must produce bitwise-identical Rational scores while sharing
@@ -20,10 +21,11 @@
 //   defaults: 200 50 1 for Sum (≈240 endogenous facts over R, S, T; the
 //   unary relations cap at domain_size+1 distinct facts, so the domain
 //   must grow with the requested fact count); the Max, Min, CountDistinct
-//   and HasDuplicates workloads run at a quarter of the Sum size and Avg at
-//   a sixteenth (their DPs are heavier per fact). --smoke shrinks to CI
-//   sizes.
+//   and HasDuplicates workloads run at a quarter of the Sum size and Avg
+//   and Median at a sixteenth (their DPs are heavier per fact). --smoke
+//   shrinks to CI sizes.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -101,8 +103,13 @@ bool RunWorkload(const char* label, const AggregateQuery& a,
                 batched[i].second.is_exact && per_fact[i].second.is_exact &&
                 batched[i].second.exact == per_fact[i].second.exact;
   }
+  int nonzero = 0;
+  for (const auto& [fact, result] : batched) {
+    nonzero += result.is_exact && !result.exact.is_zero();
+  }
   double speedup = batched_ms > 0 ? per_fact_ms / batched_ms : 0.0;
   bench::Rule();
+  std::printf("nonzero scores: %d of %d\n", nonzero, n);
   std::printf("speedup: %.2fx   identical results: %s\n\n", speedup,
               identical ? "yes" : "NO — BUG");
   bench::JsonLine("compute_all")
@@ -117,6 +124,7 @@ bool RunWorkload(const char* label, const AggregateQuery& a,
       .Num("batched_facts_per_sec", 1000.0 * n / batched_ms)
       .Num("speedup", speedup)
       .Bool("identical", identical)
+      .Int("nonzero_scores", nonzero)
       .Int("batched_alloc_bytes", static_cast<long long>(batched_alloc.bytes))
       .Int("batched_alloc_calls", static_cast<long long>(batched_alloc.calls))
       .Int("peak_rss_bytes", static_cast<long long>(bench::PeakRssBytes()))
@@ -191,11 +199,13 @@ int main(int argc, char** argv) {
   }
 
   {
-    // sq-hierarchical: the has-duplicates DP.
-    ConjunctiveQuery q = MustParseQuery("Q(x) <- R(x, y), S(x)");
+    // sq-hierarchical: the has-duplicates DP. Answers (x, y) sharing x
+    // share τ = x; a domain of a third of the R facts makes x repeat, so
+    // duplicates form and the scores are not all zero.
+    ConjunctiveQuery q = MustParseQuery("Q(x, y) <- R(x, y), S(x)");
     RandomDatabaseOptions options;
     options.facts_per_relation = quarter;
-    options.domain_size = domain_size;
+    options.domain_size = std::max(3, quarter / 3);
     options.endogenous_percent = 80;
     options.seed = seed;
     Database db = RandomDatabaseForQuery(q, options);
@@ -215,6 +225,20 @@ int main(int argc, char** argv) {
     Database db = RandomDatabaseForQuery(q, options);
     AggregateQuery a{q, MakeTauId(0), AggregateFunction::Avg()};
     ok = RunWorkload("compute-all throughput (Avg)", a, db) && ok;
+  }
+
+  {
+    // q-hierarchical Qnt_1/2: one block per y, τ on the inner root x.
+    ConjunctiveQuery q = MustParseQuery("Q(x, y) <- R(x, y), S(y)");
+    RandomDatabaseOptions options;
+    options.facts_per_relation =
+        facts_per_relation >= 64 ? facts_per_relation / 16 : 4;
+    options.domain_size = domain_size;
+    options.endogenous_percent = 80;
+    options.seed = seed;
+    Database db = RandomDatabaseForQuery(q, options);
+    AggregateQuery a{q, MakeTauId(0), AggregateFunction::Median()};
+    ok = RunWorkload("compute-all throughput (Median)", a, db) && ok;
   }
 
   return ok ? 0 : 1;

@@ -138,18 +138,25 @@ std::string AggregateQuery::ToString() const {
          query.ToString();
 }
 
-StatusOr<AggregateQuery> MakeAggregateQuery(ConjunctiveQuery query,
-                                            ValueFunctionPtr tau,
-                                            AggregateFunction alpha) {
-  for (int position : tau->DependsOn()) {
-    if (position >= query.arity()) {
+Status ValidateAggregateQuery(const AggregateQuery& a) {
+  for (int position : a.tau->DependsOn()) {
+    if (position >= a.query.arity()) {
       return InvalidArgumentError("tau reads head position " +
                                   std::to_string(position + 1) +
                                   " of a query with " +
-                                  std::to_string(query.arity()));
+                                  std::to_string(a.query.arity()));
     }
   }
-  return AggregateQuery{std::move(query), std::move(tau), std::move(alpha)};
+  return Status();
+}
+
+StatusOr<AggregateQuery> MakeAggregateQuery(ConjunctiveQuery query,
+                                            ValueFunctionPtr tau,
+                                            AggregateFunction alpha) {
+  AggregateQuery a{std::move(query), std::move(tau), std::move(alpha)};
+  Status valid = ValidateAggregateQuery(a);
+  if (!valid.ok()) return valid;
+  return a;
 }
 
 }  // namespace shapcq

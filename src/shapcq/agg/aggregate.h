@@ -88,10 +88,13 @@ struct AggregateQuery {
   std::string ToString() const;
 };
 
-// Builds A = α ∘ τ ∘ Q, refusing with INVALID_ARGUMENT a τ that reads a head
-// position past Q's arity (the engines assume τ fits the head and abort
-// otherwise). Every text-facing entry point — the CLI and the daemon's
-// BuildAggregateQuery — constructs through this.
+// INVALID_ARGUMENT when τ reads a head position past Q's arity: the
+// engines assume τ fits the head and abort otherwise. OK otherwise.
+Status ValidateAggregateQuery(const AggregateQuery& a);
+
+// Builds A = α ∘ τ ∘ Q through ValidateAggregateQuery. Every text-facing
+// entry point — the CLI and the daemon's BuildAggregateQuery — constructs
+// through this; ShapleySolver validates an AggregateQuery built directly.
 StatusOr<AggregateQuery> MakeAggregateQuery(ConjunctiveQuery query,
                                             ValueFunctionPtr tau,
                                             AggregateFunction alpha);

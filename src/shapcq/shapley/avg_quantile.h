@@ -18,6 +18,9 @@
 #ifndef SHAPCQ_SHAPLEY_AVG_QUANTILE_H_
 #define SHAPCQ_SHAPLEY_AVG_QUANTILE_H_
 
+#include <utility>
+#include <vector>
+
 #include "shapcq/agg/aggregate.h"
 #include "shapcq/data/database.h"
 #include "shapcq/shapley/score.h"
@@ -41,10 +44,20 @@ StatusOr<SumKSeries> AvgQuantileSumK(const AggregateQuery& a,
 Rational QuantileContribution(const Rational& q, int64_t less, int64_t equal,
                               int64_t greater);
 
+// Scores every endogenous fact, bitwise-equal to per-fact ScoreViaSumK over
+// AvgQuantileSumK and failing exactly where it fails. When the DP splits
+// at a free root variable, the per-root-value blocks are independent: one
+// pass solves each block over D (polling the deadline before each block)
+// and folds them, and F_f re-solves only f's block next to the fold
+// divided by that block. A Boolean head, a τ bound from the start, a
+// disconnected query, or an empty answer set takes ScoreAllViaSumK.
+StatusOr<std::vector<std::pair<FactId, Rational>>> AvgQuantileScoreAll(
+    const AggregateQuery& a, const Database& db,
+    const SolverOptions& options);
+
 class EngineRegistry;
 
-// Registers the "avg-quantile/q-hierarchical-dp" provider (sum_k only:
-// the session batches it through ScoreAllViaSumK).
+// Registers the "avg-quantile/q-hierarchical-dp" provider.
 void RegisterAvgQuantileEngine(EngineRegistry& registry);
 
 }  // namespace shapcq

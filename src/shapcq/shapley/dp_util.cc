@@ -37,4 +37,19 @@ std::vector<BigInt> SubtractCounts(const std::vector<BigInt>& a,
   return out;
 }
 
+std::vector<BigInt> DivideCounts(const std::vector<BigInt>& counts,
+                                 const std::vector<BigInt>& divisor) {
+  SHAPCQ_CHECK(!divisor.empty() && divisor[0] == BigInt(1));
+  SHAPCQ_CHECK(counts.size() >= divisor.size());
+  std::vector<BigInt> quotient(counts.size() - divisor.size() + 1);
+  for (size_t k = 0; k < quotient.size(); ++k) {
+    BigInt rest = counts[k];
+    for (size_t j = 1; j < divisor.size() && j <= k; ++j) {
+      if (!divisor[j].is_zero()) rest -= divisor[j] * quotient[k - j];
+    }
+    quotient[k] = std::move(rest);
+  }
+  return quotient;
+}
+
 }  // namespace shapcq

@@ -27,6 +27,13 @@ std::vector<BigInt> PadCounts(const std::vector<BigInt>& counts, int pad,
 std::vector<BigInt> SubtractCounts(const std::vector<BigInt>& a,
                                    const std::vector<BigInt>& b);
 
+// The quotient q with Convolve(q, divisor) == counts, for a divisor with
+// divisor[0] == 1 that divides counts exactly — counts is a product of
+// subset-count polynomials and divisor one of its factors. Long division
+// from k = 0: q[k] = counts[k] − Σ_{j≥1} divisor[j]·q[k−j].
+std::vector<BigInt> DivideCounts(const std::vector<BigInt>& counts,
+                                 const std::vector<BigInt>& divisor);
+
 }  // namespace shapcq
 
 #endif  // SHAPCQ_SHAPLEY_DP_UTIL_H_

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "shapcq/agg/value_function.h"
@@ -11,6 +13,7 @@
 #include "shapcq/shapley/answer_counts.h"
 #include "shapcq/shapley/dp_util.h"
 #include "shapcq/shapley/engine_registry.h"
+#include "shapcq/shapley/solver_options.h"
 #include "shapcq/util/check.h"
 #include "shapcq/util/combinatorics.h"
 
@@ -100,8 +103,17 @@ class DupSolver {
   // occur in every atom of q (validated by the caller).
   std::vector<BigInt> DupConnected(const ConjunctiveQuery& q,
                                    const FactSubset& facts) {
-    int m = facts.CountEndogenous();
-    // Partition facts by the τ-value they pin down.
+    // No duplicates iff every value group contributes at most one answer.
+    std::vector<BigInt> no_dup = {BigInt(1)};
+    for (const FactSubset& group : ValueGroups(q, facts)) {
+      no_dup = Convolve(no_dup, AtMostOneAnswer(q, group));
+    }
+    return DupFromNoDup(no_dup, facts.CountEndogenous());
+  }
+
+  // The facts partitioned by the τ-value they pin down, ascending by value.
+  std::vector<FactSubset> ValueGroups(const ConjunctiveQuery& q,
+                                      const FactSubset& facts) const {
     std::map<Rational, FactSubset> groups;
     for (FactId id : facts.facts) {
       const Fact& fact = facts.db->fact(id);
@@ -113,16 +125,25 @@ class DupSolver {
       if (inserted) it->second.db = facts.db;
       it->second.facts.push_back(id);
     }
-    // No duplicates iff every value group contributes at most one answer.
-    std::vector<BigInt> no_dup = {BigInt(1)};
-    for (const auto& [value, group] : groups) {
-      ZeroOneCounts zo = ExtractZeroOne(q, group, comb_);
-      std::vector<BigInt> at_most_one(zo.zero.size());
-      for (size_t k = 0; k < zo.zero.size(); ++k) {
-        at_most_one[k] = zo.zero[k] + zo.one[k];
-      }
-      no_dup = Convolve(no_dup, at_most_one);
+    std::vector<FactSubset> out;
+    out.reserve(groups.size());
+    for (auto& [value, group] : groups) out.push_back(std::move(group));
+    return out;
+  }
+
+  // Per size k, the subsets of a value group with at most one answer.
+  std::vector<BigInt> AtMostOneAnswer(const ConjunctiveQuery& q,
+                                      const FactSubset& group) {
+    ZeroOneCounts zo = ExtractZeroOne(q, group, comb_);
+    std::vector<BigInt> at_most_one(zo.zero.size());
+    for (size_t k = 0; k < zo.zero.size(); ++k) {
+      at_most_one[k] = zo.zero[k] + zo.one[k];
     }
+    return at_most_one;
+  }
+
+  // sum_k(Dup) over m endogenous facts: C(m, k) − no_dup[k].
+  std::vector<BigInt> DupFromNoDup(const std::vector<BigInt>& no_dup, int m) {
     SHAPCQ_CHECK(static_cast<int>(no_dup.size()) == m + 1);
     std::vector<BigInt> out(static_cast<size_t>(m) + 1);
     for (int k = 0; k <= m; ++k) {
@@ -138,11 +159,9 @@ class DupSolver {
   Combinatorics* comb_;
 };
 
-}  // namespace
-
-StatusOr<SumKSeries> HasDuplicatesSumK(const AggregateQuery& a,
-                                       const Database& db,
-                                       const SolverOptions& /*options*/) {
+// HasDuplicatesSumK's gates: the localization atom whose connected
+// component holds every τ-relevant head variable in every atom.
+StatusOr<int> CheckHasDuplicatesShape(const AggregateQuery& a) {
   if (a.alpha.kind() != AggKind::kHasDuplicates) {
     return UnsupportedError("HasDuplicatesSumK handles Dup only");
   }
@@ -195,17 +214,104 @@ StatusOr<SumKSeries> HasDuplicatesSumK(const AggregateQuery& a,
         "localization component (guaranteed for sq-hierarchical CQs): " +
         a.query.ToString());
   }
-  Combinatorics comb;
-  int n = db.num_endogenous();
-  RelevanceSplit split = SplitRelevant(a.query, AllFacts(db));
-  DupSolver solver(a, chosen_atom, &comb);
-  std::vector<BigInt> counts = solver.DupCounts(a.query, split.relevant);
-  counts = PadCounts(counts, split.irrelevant_endogenous, &comb);
-  SHAPCQ_CHECK(static_cast<int>(counts.size()) == n + 1);
+  return chosen_atom;
+}
+
+SumKSeries SeriesOfCounts(const std::vector<BigInt>& counts) {
   SumKSeries series;
   series.reserve(counts.size());
   for (const BigInt& count : counts) series.push_back(Rational(count));
   return series;
+}
+
+}  // namespace
+
+StatusOr<SumKSeries> HasDuplicatesSumK(const AggregateQuery& a,
+                                       const Database& db,
+                                       const SolverOptions& /*options*/) {
+  StatusOr<int> chosen_atom = CheckHasDuplicatesShape(a);
+  if (!chosen_atom.ok()) return chosen_atom.status();
+  Combinatorics comb;
+  int n = db.num_endogenous();
+  RelevanceSplit split = SplitRelevant(a.query, AllFacts(db));
+  DupSolver solver(a, *chosen_atom, &comb);
+  std::vector<BigInt> counts = solver.DupCounts(a.query, split.relevant);
+  counts = PadCounts(counts, split.irrelevant_endogenous, &comb);
+  SHAPCQ_CHECK(static_cast<int>(counts.size()) == n + 1);
+  return SeriesOfCounts(counts);
+}
+
+StatusOr<std::vector<std::pair<FactId, Rational>>> HasDuplicatesScoreAll(
+    const AggregateQuery& a, const Database& db,
+    const SolverOptions& options) {
+  StatusOr<int> chosen_atom = CheckHasDuplicatesShape(a);
+  if (!chosen_atom.ok()) return chosen_atom.status();
+  if (ConnectedComponents(a.query).size() != 1) {
+    return ScoreAllViaSumK(a, db, HasDuplicatesSumK, options);
+  }
+  Combinatorics comb;
+  RelevanceSplit split = SplitRelevant(a.query, AllFacts(db));
+  DupSolver solver(a, *chosen_atom, &comb);
+  // The full-database block pass, polling the deadline before each
+  // block: one at-most-one polynomial per τ-value group.
+  const std::vector<FactSubset> groups =
+      solver.ValueGroups(a.query, split.relevant);
+  std::vector<std::vector<BigInt>> at_most_one;
+  at_most_one.reserve(groups.size());
+  std::vector<int> group_of(static_cast<size_t>(db.num_facts()), -1);
+  std::vector<BigInt> no_dup = {BigInt(1)};
+  for (size_t g = 0; g < groups.size(); ++g) {
+    if (SolveCancelled(options)) {
+      return DeadlineExceededError("deadline exceeded while solving blocks");
+    }
+    at_most_one.push_back(solver.AtMostOneAnswer(a.query, groups[g]));
+    no_dup = Convolve(no_dup, at_most_one.back());
+    for (FactId f : groups[g].facts) {
+      group_of[static_cast<size_t>(f)] = static_cast<int>(g);
+    }
+  }
+  // Irrelevant facts pad every polynomial alike.
+  no_dup = PadCounts(no_dup, split.irrelevant_endogenous, &comb);
+  const int n = db.num_endogenous();
+  const SumKSeries full_series =
+      SeriesOfCounts(solver.DupFromNoDup(no_dup, n));
+  return ScoreFactsByIdentity(
+      a, db, full_series,
+      [&]() -> ExogenousSeriesFn {
+        // F_f re-counts f's value group with f's flag flipped on the
+        // worker's own database copy, next to every other group's product:
+        // no_dup divided by f's group, kept for the worker's last group.
+        auto work = std::make_shared<Database>(db);
+        auto work_comb = std::make_shared<Combinatorics>();
+        auto work_solver =
+            std::make_shared<DupSolver>(a, *chosen_atom, work_comb.get());
+        auto others = std::make_shared<std::pair<int, std::vector<BigInt>>>(
+            -1, std::vector<BigInt>());
+        return [&, work, work_comb, work_solver, others](FactId f) {
+          const int group = group_of[static_cast<size_t>(f)];
+          SHAPCQ_CHECK(group >= 0);  // every relevant fact pins a value
+          const std::vector<BigInt>& divisor =
+              at_most_one[static_cast<size_t>(group)];
+          if (others->first != group) {
+            // A group whose exogenous facts alone give two answers has
+            // at_most_one ≡ 0, and so has f's variant below: the other
+            // groups' product is then irrelevant.
+            others->second =
+                divisor[0].is_zero()
+                    ? std::vector<BigInt>(no_dup.size() - divisor.size() + 1)
+                    : DivideCounts(no_dup, divisor);
+            others->first = group;
+          }
+          work->SetEndogenous(f, false);
+          std::vector<BigInt> variant = work_solver->AtMostOneAnswer(
+              a.query,
+              FactSubset{work.get(), groups[static_cast<size_t>(group)].facts});
+          work->SetEndogenous(f, true);
+          return StatusOr<SumKSeries>(SeriesOfCounts(work_solver->DupFromNoDup(
+              Convolve(others->second, variant), n - 1)));
+        };
+      },
+      options);
 }
 
 void RegisterHasDuplicatesEngine(EngineRegistry& registry) {
@@ -216,6 +322,7 @@ void RegisterHasDuplicatesEngine(EngineRegistry& registry) {
     return a.alpha.kind() == AggKind::kHasDuplicates;
   };
   provider.sum_k = HasDuplicatesSumK;
+  provider.score_all = HasDuplicatesScoreAll;
   registry.Register(std::move(provider));
 }
 

@@ -20,6 +20,9 @@
 #ifndef SHAPCQ_SHAPLEY_HAS_DUPLICATES_H_
 #define SHAPCQ_SHAPLEY_HAS_DUPLICATES_H_
 
+#include <utility>
+#include <vector>
+
 #include "shapcq/agg/aggregate.h"
 #include "shapcq/data/database.h"
 #include "shapcq/shapley/score.h"
@@ -35,6 +38,17 @@ namespace shapcq {
 StatusOr<SumKSeries> HasDuplicatesSumK(const AggregateQuery& a,
                                        const Database& db,
                                        const SolverOptions& options = {});
+
+// Scores every endogenous fact, bitwise-equal to per-fact ScoreViaSumK over
+// HasDuplicatesSumK and failing exactly where it fails. For a connected
+// query the τ-value groups are independent blocks: one pass counts each
+// group's at-most-one-answer polynomial over D (polling the deadline
+// before each group) and multiplies them, and F_f re-counts only f's
+// group next to the product divided by that group. A query that splits
+// into components takes ScoreAllViaSumK.
+StatusOr<std::vector<std::pair<FactId, Rational>>> HasDuplicatesScoreAll(
+    const AggregateQuery& a, const Database& db,
+    const SolverOptions& options);
 
 class EngineRegistry;
 

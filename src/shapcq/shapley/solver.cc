@@ -30,11 +30,15 @@ bool IsInsideFrontier(const AggregateFunction& alpha,
 }
 
 StatusOr<std::string> ShapleySolver::ExactAlgorithmName() const {
+  Status valid = ValidateAggregateQuery(a_);
+  if (!valid.ok()) return valid;
   return PlanCache::Global().GetOrCompile(a_)->ExactAlgorithmName();
 }
 
 StatusOr<SolveResult> ShapleySolver::Compute(const Database& db, FactId fact,
                                              const SolverOptions& options) const {
+  Status valid = ValidateAggregateQuery(a_);
+  if (!valid.ok()) return valid;
   SolverSession session(PlanCache::Global().GetOrCompile(a_, options.score),
                         db);
   return session.Compute(fact, options);
@@ -43,6 +47,8 @@ StatusOr<SolveResult> ShapleySolver::Compute(const Database& db, FactId fact,
 StatusOr<std::vector<std::pair<FactId, SolveResult>>>
 ShapleySolver::ComputeAll(const Database& db,
                           const SolverOptions& options) const {
+  Status valid = ValidateAggregateQuery(a_);
+  if (!valid.ok()) return valid;
   SolverSession session(PlanCache::Global().GetOrCompile(a_, options.score),
                         db);
   return session.ComputeAll(options);
@@ -50,6 +56,8 @@ ShapleySolver::ComputeAll(const Database& db,
 
 StatusOr<SumKSeries> ShapleySolver::ComputeSumKSeries(
     const Database& db, const SolverOptions& options) const {
+  Status valid = ValidateAggregateQuery(a_);
+  if (!valid.ok()) return valid;
   SolverSession session(PlanCache::Global().GetOrCompile(a_), db);
   return session.ComputeSumKSeries(options);
 }

@@ -58,6 +58,9 @@ class ShapleySolver {
 
   const AggregateQuery& aggregate_query() const { return a_; }
 
+  // Every call below returns INVALID_ARGUMENT for an aggregate query that
+  // ValidateAggregateQuery (aggregate.h) refuses.
+
   // Name of the exact engine that Auto would try first, if any.
   StatusOr<std::string> ExactAlgorithmName() const;
 

@@ -16,6 +16,7 @@
 #include "shapcq/shapley/brute_force.h"
 #include "shapcq/shapley/closed_forms.h"
 #include "shapcq/shapley/score.h"
+#include "shapcq/shapley/solver_options.h"
 #include "shapcq/workload/generators.h"
 
 namespace shapcq {
@@ -171,6 +172,30 @@ TEST(AvgQuantileTest, ShapleyScoresMatchBruteForce) {
       auto bf = BruteForceScore(a, db, f);
       ASSERT_TRUE(dp.ok());
       EXPECT_EQ(*dp, *bf) << alpha.ToString();
+    }
+  }
+}
+
+// The batched scorer shards its fact sweep over the workers (TSan runs
+// this file): at 8 threads every score still equals brute force.
+TEST(AvgQuantileTest, ScoreAllAtEightThreadsMatchesBruteForce) {
+  ConjunctiveQuery q = MustParseQuery("Q(x, y) <- R(x, y), S(y)");
+  RandomDatabaseOptions options;
+  options.facts_per_relation = 5;
+  options.seed = 8;
+  Database db = RandomDatabaseForQuery(q, options);
+  SolverOptions eight;
+  eight.num_threads = 8;
+  for (AggregateFunction alpha :
+       {AggregateFunction::Avg(), AggregateFunction::Median()}) {
+    AggregateQuery a{q, MakeTauId(0), alpha};
+    auto batch = AvgQuantileScoreAll(a, db, eight);
+    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+    ASSERT_EQ(batch->size(), db.EndogenousFacts().size());
+    for (const auto& [f, score] : *batch) {
+      auto bf = BruteForceScore(a, db, f);
+      ASSERT_TRUE(bf.ok());
+      EXPECT_EQ(score, *bf) << alpha.ToString() << " " << db.fact(f).ToString();
     }
   }
 }

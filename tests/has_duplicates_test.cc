@@ -13,6 +13,7 @@
 #include "shapcq/shapley/brute_force.h"
 #include "shapcq/shapley/has_duplicates.h"
 #include "shapcq/shapley/score.h"
+#include "shapcq/shapley/solver_options.h"
 #include "shapcq/workload/generators.h"
 
 namespace shapcq {
@@ -83,6 +84,32 @@ TEST(HasDuplicatesTest, ShapleyScoresMatchBruteForce) {
     ASSERT_TRUE(dp.ok());
     EXPECT_EQ(*dp, *bf) << db.fact(f).ToString();
   }
+}
+
+// The batched scorer shards its fact sweep over the workers (TSan runs
+// this file): at 8 threads every score still equals brute force, on a
+// head whose answers share τ-values.
+TEST(HasDuplicatesTest, ScoreAllAtEightThreadsMatchesBruteForce) {
+  ConjunctiveQuery q = MustParseQuery("Q(x, y) <- R(x, y), S(x)");
+  RandomDatabaseOptions options;
+  options.facts_per_relation = 5;
+  options.domain_size = 3;
+  options.seed = 6;
+  Database db = RandomDatabaseForQuery(q, options);
+  AggregateQuery a{q, MakeTauId(0), AggregateFunction::HasDuplicates()};
+  SolverOptions eight;
+  eight.num_threads = 8;
+  auto batch = HasDuplicatesScoreAll(a, db, eight);
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  ASSERT_EQ(batch->size(), db.EndogenousFacts().size());
+  bool any_nonzero = false;
+  for (const auto& [f, score] : *batch) {
+    auto bf = BruteForceScore(a, db, f);
+    ASSERT_TRUE(bf.ok());
+    EXPECT_EQ(score, *bf) << db.fact(f).ToString();
+    any_nonzero = any_nonzero || !score.is_zero();
+  }
+  EXPECT_TRUE(any_nonzero);
 }
 
 TEST(HasDuplicatesTest, HandcraftedDuplicateScenario) {

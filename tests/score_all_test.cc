@@ -19,11 +19,13 @@
 #include "shapcq/agg/aggregate.h"
 #include "shapcq/agg/value_function.h"
 #include "shapcq/data/database.h"
+#include "shapcq/data/db_io.h"
 #include "shapcq/lineage/stats.h"
 #include "shapcq/query/parser.h"
 #include "shapcq/shapley/avg_quantile.h"
 #include "shapcq/shapley/plan.h"
 #include "shapcq/shapley/session.h"
+#include "shapcq/shapley/solver.h"
 #include "shapcq/shapley/brute_force.h"
 #include "shapcq/shapley/count_distinct.h"
 #include "shapcq/shapley/has_duplicates.h"
@@ -386,12 +388,18 @@ Database WithTombstone(Database db) {
   return db;
 }
 
+using BatchScorer =
+    std::function<StatusOr<std::vector<std::pair<FactId, Rational>>>(
+        const AggregateQuery&, const Database&, const SolverOptions&)>;
+
 // Per input: db, db plus an unmentioned relation, and that with a
 // tombstone; Shapley and Banzhaf; 1, 2 and 8 threads — every batch equal
-// to per-fact ScoreViaSumK bit for bit.
+// to per-fact ScoreViaSumK bit for bit. The batch is `batch` when set,
+// else ScoreAllViaSumK over `engine`.
 void ExpectViaSumKMatchesPerFact(const AggregateQuery& a, const Database& db,
                                  const SumKEngine& engine,
-                                 const std::string& label) {
+                                 const std::string& label,
+                                 const BatchScorer& batch = nullptr) {
   const Database wider = WithUnmentionedRelation(db);
   const Database tombstoned = WithTombstone(wider);
   for (const auto& [input, suffix] :
@@ -400,9 +408,11 @@ void ExpectViaSumKMatchesPerFact(const AggregateQuery& a, const Database& db,
         {&tombstoned, " + unmentioned relation + tombstone"}}) {
     for (ScoreKind kind : {ScoreKind::kShapley, ScoreKind::kBanzhaf}) {
       for (int threads : {1, 2, 8}) {
+        const SolverOptions options = Options(kind, threads);
         ExpectMatchesPerFact(
-            ScoreAllViaSumK(a, *input, engine, Options(kind, threads)), a,
-            *input, engine, kind,
+            batch != nullptr ? batch(a, *input, options)
+                             : ScoreAllViaSumK(a, *input, engine, options),
+            a, *input, engine, kind,
             label + suffix + " threads " + std::to_string(threads));
       }
     }
@@ -497,6 +507,230 @@ TEST(ScoreAllViaSumKTest, CancellationFailsTheWholeBatch) {
 }
 
 // ---------------------------------------------------------------------------
+// Block-local fact sweeps: AvgQuantileScoreAll and HasDuplicatesScoreAll
+// re-solve only a fact's own top-level block
+// ---------------------------------------------------------------------------
+
+TEST(AvgQuantileScoreAllTest, MatchesPerFactOnRandomQHierarchicalWorkloads) {
+  for (AggregateFunction alpha :
+       {AggregateFunction::Avg(), AggregateFunction::Median(),
+        AggregateFunction::Quantile(Rational(BigInt(1), BigInt(4)))}) {
+    for (uint64_t seed = 1; seed <= 4; ++seed) {
+      RandomQueryOptions query_options;
+      query_options.max_variables = 3;
+      query_options.seed = seed * 19 + 3;
+      ConjunctiveQuery q =
+          RandomQueryOfClass(HierarchyClass::kQHierarchical, query_options);
+      RandomDatabaseOptions db_options;
+      db_options.facts_per_relation = 4;
+      db_options.seed = seed * 3 + 2;
+      Database db = RandomDatabaseForQuery(q, db_options);
+      if (db.num_endogenous() == 0) continue;
+      ValueFunctionPtr tau =
+          q.arity() > 0 ? MakeTauId(0) : MakeConstantTau(Rational(1));
+      AggregateQuery a{q, tau, alpha};
+      ExpectViaSumKMatchesPerFact(
+          a, db, AvgQuantileSumK,
+          a.ToString() + " seed " + std::to_string(seed), AvgQuantileScoreAll);
+    }
+  }
+}
+
+TEST(AvgQuantileScoreAllTest, FallbackShapesMatchPerFact) {
+  // The shapes with no top-level block product (ScoreAllViaSumK), then
+  // block shapes whose unmatched root values leave relevant facts in no
+  // block (padding), and whose blocks hold exogenous answers (the
+  // division by a block shifts by them).
+  struct Case {
+    const char* query;
+    ValueFunctionPtr tau;
+    const char* facts;  // db_io's line format
+  };
+  const std::vector<Case> cases = {
+      // Boolean head.
+      {"Q() <- R(x), S(x)", MakeConstantTau(Rational(2)),
+       "+R(1)\n+R(2)\n+S(1)\n+S(2)\n+S(3)\n"},
+      // Disconnected cross product.
+      {"Q(x, z) <- R(x), T(z)", MakeTauId(0),
+       "+R(1)\n+R(4)\n+T(7)\n+T(8)\n"},
+      // τ bound at the top: it reads no head position.
+      {"Q(x) <- R(x, y), S(x)", MakeConstantTau(Rational(5)),
+       "+R(1, 2)\n+R(1, 3)\n+R(2, 2)\n+S(1)\n+S(2)\n"},
+      // No answer at all: no anchors.
+      {"Q(x) <- R(x, y), S(x)", MakeTauId(0),
+       "+R(1, 2)\n+R(2, 3)\n+S(3)\n"},
+      // Blocks x = 1 and x = 3; R(2, ·) and S(4) are in none.
+      {"Q(x) <- R(x, y), S(x)", MakeTauId(0),
+       "+R(1, 2)\n+R(1, 3)\n+R(2, 2)\n+R(3, 5)\n+S(1)\n+S(3)\n+S(4)\n"},
+      // Block y = 2 answers without any endogenous fact.
+      {"Q(x, y) <- R(x, y), S(y)", MakeTauId(0),
+       "-R(1, 2)\n+R(3, 2)\n-S(2)\n+R(1, 4)\n+R(2, 4)\n+S(4)\n"},
+  };
+  for (const Case& c : cases) {
+    StatusOr<Database> db = ParseDatabase(c.facts);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    for (AggregateFunction alpha :
+         {AggregateFunction::Avg(), AggregateFunction::Median()}) {
+      AggregateQuery a{MustParseQuery(c.query), c.tau, alpha};
+      ExpectViaSumKMatchesPerFact(a, *db, AvgQuantileSumK, a.ToString(),
+                                  AvgQuantileScoreAll);
+    }
+  }
+}
+
+TEST(AvgQuantileScoreAllTest, RefusesExactlyLikeTheSeriesEngine) {
+  // Not q-hierarchical: engine-mix's Monte Carlo class, Avg on
+  // Q(x) <- R(x, y), S(y).
+  ConjunctiveQuery q = MustParseQuery("Q(x) <- R(x, y), S(y)");
+  RandomDatabaseOptions db_options;
+  db_options.facts_per_relation = 20;
+  db_options.domain_size = 30;
+  db_options.endogenous_percent = 100;
+  db_options.seed = 5;
+  Database db = RandomDatabaseForQuery(q, db_options);
+  ASSERT_GT(db.num_endogenous(), kBruteForceMaxPlayers);
+  AggregateQuery a{q, MakeTauId(0), AggregateFunction::Avg()};
+  auto batched = AvgQuantileScoreAll(a, db, SolverOptions());
+  auto series = AvgQuantileSumK(a, db);
+  ASSERT_FALSE(batched.ok());
+  ASSERT_FALSE(series.ok());
+  EXPECT_EQ(batched.status().message(), series.status().message());
+  // So the session still falls through to Monte Carlo past brute force.
+  SolverOptions options;
+  options.monte_carlo.num_samples = 20;
+  auto results = ShapleySolver(a).ComputeAll(db, options);
+  ASSERT_TRUE(results.ok()) << results.status().ToString();
+  for (const auto& [fact, result] : *results) {
+    EXPECT_EQ(result.algorithm, "monte-carlo") << db.fact(fact).ToString();
+  }
+}
+
+TEST(HasDuplicatesScoreAllTest, MatchesPerFactOnRandomSqHierarchicalWorkloads) {
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    RandomQueryOptions query_options;
+    query_options.max_variables = 3;
+    query_options.seed = seed * 23 + 5;
+    ConjunctiveQuery q =
+        RandomQueryOfClass(HierarchyClass::kSqHierarchical, query_options);
+    RandomDatabaseOptions db_options;
+    db_options.facts_per_relation = 5;
+    db_options.domain_size = 3;  // small domain: duplicates are common
+    db_options.seed = seed * 7 + 3;
+    Database db = RandomDatabaseForQuery(q, db_options);
+    if (db.num_endogenous() == 0) continue;
+    ValueFunctionPtr tau =
+        q.arity() > 0 ? MakeTauId(0) : MakeConstantTau(Rational(1));
+    AggregateQuery a{q, tau, AggregateFunction::HasDuplicates()};
+    ExpectViaSumKMatchesPerFact(a, db, HasDuplicatesSumK,
+                                a.ToString() + " seed " + std::to_string(seed),
+                                HasDuplicatesScoreAll);
+  }
+}
+
+TEST(HasDuplicatesScoreAllTest, RepeatedTauValuesAndFallbackMatchPerFact) {
+  struct Case {
+    const char* query;
+    int tau_position;
+  };
+  const std::vector<Case> cases = {
+      // Repeated τ-values: answers (x, y) share x.
+      {"Q(x, y) <- R(x, y), S(x)", 0},
+      // Proposition 7.3(3): q- but not sq-hierarchical, τ on y.
+      {"Q(x, y) <- R(x, y), S(y)", 1},
+      // Splits into components: ScoreAllViaSumK.
+      {"Q(x, z) <- R(x, y), S(x), T(z)", 0},
+  };
+  // A group whose exogenous facts alone give two answers: no subset is
+  // duplicate-free, so nothing divides by its polynomial.
+  StatusOr<Database> saturated = ParseDatabase(
+      "-R(1, 1)\n-R(1, 2)\n-S(1)\n+R(1, 3)\n+R(2, 1)\n+R(2, 2)\n+S(2)\n");
+  ASSERT_TRUE(saturated.ok()) << saturated.status().ToString();
+  AggregateQuery saturated_a{MustParseQuery("Q(x, y) <- R(x, y), S(x)"),
+                             MakeTauId(0), AggregateFunction::HasDuplicates()};
+  ExpectViaSumKMatchesPerFact(saturated_a, *saturated, HasDuplicatesSumK,
+                              "saturated group", HasDuplicatesScoreAll);
+  for (const Case& c : cases) {
+    ConjunctiveQuery q = MustParseQuery(c.query);
+    RandomDatabaseOptions db_options;
+    db_options.facts_per_relation = 6;
+    db_options.domain_size = 3;
+    db_options.seed = 41;
+    Database db = RandomDatabaseForQuery(q, db_options);
+    ASSERT_GT(db.num_endogenous(), 0);
+    AggregateQuery a{q, MakeTauId(c.tau_position),
+                     AggregateFunction::HasDuplicates()};
+    auto scores = HasDuplicatesScoreAll(a, db, SolverOptions());
+    ASSERT_TRUE(scores.ok()) << scores.status().ToString();
+    bool any_nonzero = false;
+    for (const auto& [fact, score] : *scores) {
+      any_nonzero = any_nonzero || !score.is_zero();
+    }
+    EXPECT_TRUE(any_nonzero) << a.ToString() << ": no duplicate ever forms";
+    ExpectViaSumKMatchesPerFact(a, db, HasDuplicatesSumK, a.ToString(),
+                                HasDuplicatesScoreAll);
+  }
+}
+
+TEST(HasDuplicatesScoreAllTest, RefusesExactlyLikeTheSeriesEngine) {
+  ConjunctiveQuery q = MustParseQuery("Q(x) <- R(x), S(x, y), T(y)");
+  Database db;
+  db.AddEndogenous("R", {Value(1)});
+  db.AddEndogenous("S", {Value(1), Value(2)});
+  db.AddEndogenous("T", {Value(2)});
+  AggregateQuery a{q, MakeTauId(0), AggregateFunction::HasDuplicates()};
+  auto batched = HasDuplicatesScoreAll(a, db, SolverOptions());
+  auto series = HasDuplicatesSumK(a, db);
+  ASSERT_FALSE(batched.ok());
+  ASSERT_FALSE(series.ok());
+  EXPECT_EQ(batched.status().message(), series.status().message());
+}
+
+// Modeled on ScoreAllViaSumKTest.CancellationFailsTheWholeBatch: the block
+// pass polls before each of its four blocks, so a hook that fires at its
+// third poll fails the batch inside that pass — whole, with no fact ever
+// polled — at 1 and 8 threads.
+TEST(BlockSweepTest, CancellationInsideTheBlockPassFailsTheWholeBatch) {
+  struct Case {
+    const char* query;
+    AggregateFunction alpha;
+    BatchScorer scorer;
+  };
+  const std::vector<Case> cases = {
+      {"Q(x) <- R(x, y), S(x)", AggregateFunction::Avg(),
+       AvgQuantileScoreAll},
+      {"Q(x, y) <- R(x, y), S(x)", AggregateFunction::HasDuplicates(),
+       HasDuplicatesScoreAll},
+  };
+  Database db;
+  for (int64_t x = 1; x <= 4; ++x) {
+    db.AddEndogenous("R", {Value(x), Value(x + 10)});
+    db.AddEndogenous("R", {Value(x), Value(x + 20)});
+    db.AddEndogenous("S", {Value(x)});
+  }
+  for (const Case& c : cases) {
+    AggregateQuery a{MustParseQuery(c.query), MakeTauId(0), c.alpha};
+    for (int threads : {1, 8}) {
+      std::atomic<int> polls{0};
+      SolverOptions fired = Options(ScoreKind::kShapley, threads);
+      fired.cancelled = [&polls] { return polls.fetch_add(1) + 1 >= 3; };
+      auto cancelled = c.scorer(a, db, fired);
+      ASSERT_FALSE(cancelled.ok());
+      EXPECT_EQ(cancelled.status().code(), StatusCode::kDeadlineExceeded)
+          << a.ToString();
+      EXPECT_EQ(polls.load(), 3) << a.ToString() << " threads=" << threads;
+
+      auto plain = c.scorer(a, db, Options(ScoreKind::kShapley, threads));
+      SolverOptions unfired = Options(ScoreKind::kShapley, threads);
+      unfired.cancelled = [] { return false; };
+      auto hooked = c.scorer(a, db, unfired);
+      ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+      ASSERT_TRUE(hooked.ok()) << hooked.status().ToString();
+      EXPECT_EQ(*hooked, *plain) << a.ToString() << " threads=" << threads;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // The group driver: CountDistinct's batch, budget fallbacks, deadlines
 // ---------------------------------------------------------------------------
 
@@ -507,10 +741,6 @@ SolverOptions Starved(ScoreKind kind, int num_threads = 0) {
   options.lineage.max_answer_vars = 0;
   return options;
 }
-
-using BatchScorer =
-    std::function<StatusOr<std::vector<std::pair<FactId, Rational>>>(
-        const AggregateQuery&, const Database&, const SolverOptions&)>;
 
 TEST(CountDistinctScoreAllTest, MatchesPerFactOnRandomAllHierarchicalWorkloads) {
   for (uint64_t seed = 1; seed <= 4; ++seed) {

@@ -377,5 +377,31 @@ TEST(SolverTest, RejectsExogenousFact) {
   EXPECT_FALSE(solver.Compute(db, exo).ok());
 }
 
+TEST(SolverTest, RejectsTauPastTheHeadInsteadOfAborting) {
+  // τ reads head position 3 of a unary head: an AggregateQuery built
+  // directly, past MakeAggregateQuery's check.
+  ConjunctiveQuery q = MustParseQuery("Q(x) <- R(x, y), S(x)");
+  Database db;
+  FactId r = db.AddEndogenous("R", {Value(1), Value(2)});
+  db.AddEndogenous("S", {Value(1)});
+  ShapleySolver solver(
+      AggregateQuery{q, MakeTauId(2), AggregateFunction::Avg()});
+  const std::string expected = "tau reads head position 3 of a query with 1";
+  StatusOr<SolveResult> one = solver.Compute(db, r);
+  ASSERT_FALSE(one.ok());
+  EXPECT_EQ(one.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(one.status().message(), expected);
+  auto all = solver.ComputeAll(db);
+  ASSERT_FALSE(all.ok());
+  EXPECT_EQ(all.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(all.status().message(), expected);
+  StatusOr<SumKSeries> series = solver.ComputeSumKSeries(db);
+  ASSERT_FALSE(series.ok());
+  EXPECT_EQ(series.status().code(), StatusCode::kInvalidArgument);
+  StatusOr<std::string> name = solver.ExactAlgorithmName();
+  ASSERT_FALSE(name.ok());
+  EXPECT_EQ(name.status().code(), StatusCode::kInvalidArgument);
+}
+
 }  // namespace
 }  // namespace shapcq
