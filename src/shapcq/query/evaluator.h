@@ -46,8 +46,9 @@ std::vector<Tuple> AnswersTouching(const ConjunctiveQuery& q,
 // Id-level enumeration result: every homomorphism as a dense ValueId
 // binding (one slot per query variable) plus the facts it uses. This is
 // the raw output of the interned join; consumers that only need answers or
-// used-fact sets (SupportEvaluator, SubsetEvaluator, the batch engines)
-// work on it directly and skip the string-keyed Binding materialization.
+// used-fact sets (GroupHomomorphismsByAnswer, and through it
+// SubsetEvaluator, MonteCarloGame and the batch engines) work on it
+// directly and skip the string-keyed Binding materialization.
 struct IdHomomorphisms {
   std::vector<std::string> slot_names;          // slot -> variable name
   std::vector<int> head_slots;                  // head position -> slot

@@ -18,7 +18,7 @@
 //     with options.cancelled wired to the request deadline; on
 //     kDeadlineExceeded (or a deadline that expired in the queue) rerun
 //     with method=kMonteCarlo — bounded by the sample budget and
-//     deterministic via per-fact seeding — and mark the response
+//     deterministic via seeded sample blocks — and mark the response
 //     degraded. The response (with the provenance footer's CI line for
 //     sampled results) is written back on the request's connection.
 //

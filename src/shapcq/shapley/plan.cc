@@ -41,9 +41,12 @@ std::shared_ptr<const AttributionPlan> AttributionPlan::CompileWithFingerprint(
   plan->inside_frontier_ =
       !plan->has_self_join_ &&
       AtLeast(plan->classification_, TractabilityFrontier(plan->a_.alpha));
-  plan->localization_atoms_ = LocalizationAtoms(q, *plan->a_.tau);
   plan->root_variables_ = RootVariables(q);
   plan->connected_components_ = ConnectedComponents(q);
+  // The τ analysis and the engine gates assume τ fits the head.
+  plan->status_ = ValidateAggregateQuery(plan->a_);
+  if (!plan->status_.ok()) return plan;
+  plan->localization_atoms_ = LocalizationAtoms(q, *plan->a_.tau);
   plan->engines_ = EngineRegistry::Global().CandidatesFor(plan->a_);
   return plan;
 }

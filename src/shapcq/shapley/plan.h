@@ -65,7 +65,8 @@ class AttributionPlan {
  public:
   // Compiles the database-independent layer. Never fails: a query no exact
   // engine supports still compiles (empty chain; execution falls back to
-  // brute force / Monte Carlo).
+  // brute force / Monte Carlo), and a query ValidateAggregateQuery refuses
+  // compiles to an invalid plan that keeps the refusal in status().
   static std::shared_ptr<const AttributionPlan> Compile(
       AggregateQuery a, ScoreKind score = ScoreKind::kShapley);
 
@@ -76,6 +77,9 @@ class AttributionPlan {
   // diverge later without invalidating cached plans.
   ScoreKind score_kind() const { return score_; }
   const std::string& fingerprint() const { return fingerprint_; }
+  // OK, or the INVALID_ARGUMENT of ValidateAggregateQuery; an invalid plan
+  // has no engines and no τ analysis, and sessions refuse to execute it.
+  const Status& status() const { return status_; }
 
   // Hierarchy class of the query (Figure 1).
   HierarchyClass classification() const { return classification_; }
@@ -125,6 +129,7 @@ class AttributionPlan {
   AggregateQuery a_;
   ScoreKind score_;
   std::string fingerprint_;
+  Status status_;
   HierarchyClass classification_ = HierarchyClass::kGeneral;
   bool inside_frontier_ = false;
   bool has_self_join_ = false;

@@ -99,13 +99,6 @@ SolverSession::SolverSession(std::shared_ptr<const AttributionPlan> plan,
 SolverSession::SolverSession(AggregateQuery a, const Database& db)
     : SolverSession(PlanCache::Global().GetOrCompile(a), db) {}
 
-const SupportEvaluator& SolverSession::support_evaluator() {
-  if (support_evaluator_ == nullptr) {
-    support_evaluator_ = std::make_unique<SupportEvaluator>(a(), db_);
-  }
-  return *support_evaluator_;
-}
-
 StatusOr<SolveResult> SolverSession::ComputeExact(FactId fact,
                                                   const SolverOptions& options,
                                                   Status* first_failure) const {
@@ -132,6 +125,7 @@ StatusOr<SolveResult> SolverSession::ComputeExact(FactId fact,
 
 StatusOr<SolveResult> SolverSession::Compute(FactId fact,
                                              const SolverOptions& options) {
+  if (!plan_->status().ok()) return plan_->status();
   if (!db_.fact(fact).endogenous) {
     return InvalidArgumentError("fact is exogenous: " +
                                 db_.fact(fact).ToString());
@@ -150,17 +144,11 @@ StatusOr<SolveResult> SolverSession::Compute(FactId fact,
       return ExactResult(std::move(score).value(), "brute-force");
     }
     case SolveMethod::kMonteCarlo: {
-      const SupportEvaluator& evaluator = support_evaluator();
-      // Per-fact seed derivation: deterministic, decorrelated across
-      // facts, and shared with the batched path (MonteCarloFor).
-      MonteCarloOptions mc_options =
-          PerFactMonteCarloOptions(options.monte_carlo, fact);
-      StatusOr<MonteCarloResult> mc =
-          options.score == ScoreKind::kShapley
-              ? MonteCarloShapley(evaluator, fact, mc_options)
-              : MonteCarloBanzhaf(evaluator, fact, mc_options);
-      if (!mc.ok()) return mc.status();
-      return ApproximateResult(*mc, "monte-carlo");
+      StatusOr<std::vector<MonteCarloResult>> all = SampleAll(options);
+      if (!all.ok()) return all.status();
+      const int player = monte_carlo_game_->PlayerIndex(fact);
+      return ApproximateResult((*all)[static_cast<size_t>(player)],
+                               "monte-carlo");
     }
     case SolveMethod::kAuto: {
       StatusOr<SolveResult> exact = ComputeExact(fact, options, nullptr);
@@ -337,54 +325,44 @@ SolverSession::BruteForceAll(const SolverOptions& options) const {
   return results;
 }
 
-Status SolverSession::MonteCarloFor(const std::vector<FactId>& facts,
-                                    const std::vector<size_t>& indices,
+StatusOr<std::vector<MonteCarloResult>> SolverSession::SampleAll(
+    const SolverOptions& options) {
+  if (monte_carlo_game_ == nullptr) {
+    monte_carlo_game_ = std::make_unique<MonteCarloGame>(a(), db_);
+  }
+  return monte_carlo_game_->Estimate(options.score, options.monte_carlo,
+                                     options.num_threads);
+}
+
+Status SolverSession::MonteCarloFor(const std::vector<size_t>& indices,
                                     const SolverOptions& options,
                                     std::vector<SolveResult>* results) {
-  const SupportEvaluator& evaluator = support_evaluator();
-  std::vector<StatusOr<MonteCarloResult>> estimates(
-      indices.size(), StatusOr<MonteCarloResult>(UnsupportedError("unset")));
-  // Each per-fact run derives its own seed from (options.seed, fact) —
-  // exactly like the per-fact path — so the fan-out changes nothing about
-  // the estimates and the thread count never does either.
-  ParallelFor(
-      static_cast<int64_t>(indices.size()),
-      [&](int64_t i) {
-        FactId fact = facts[indices[static_cast<size_t>(i)]];
-        MonteCarloOptions mc_options =
-            PerFactMonteCarloOptions(options.monte_carlo, fact);
-        estimates[static_cast<size_t>(i)] =
-            options.score == ScoreKind::kShapley
-                ? MonteCarloShapley(evaluator, fact, mc_options)
-                : MonteCarloBanzhaf(evaluator, fact, mc_options);
-      },
-      options.num_threads);
-  for (size_t i = 0; i < indices.size(); ++i) {
-    if (!estimates[i].ok()) return estimates[i].status();
-    (*results)[indices[i]] =
-        ApproximateResult(*estimates[i], "monte-carlo");
+  StatusOr<std::vector<MonteCarloResult>> all = SampleAll(options);
+  if (!all.ok()) return all.status();
+  SHAPCQ_CHECK(all->size() == results->size());
+  for (size_t idx : indices) {
+    (*results)[idx] = ApproximateResult((*all)[idx], "monte-carlo");
   }
   return Status::Ok();
 }
 
 StatusOr<std::vector<std::pair<FactId, SolveResult>>>
 SolverSession::MonteCarloAll(const SolverOptions& options) {
+  StatusOr<std::vector<MonteCarloResult>> all = SampleAll(options);
+  if (!all.ok()) return all.status();
   std::vector<FactId> facts = db_.EndogenousFacts();
-  std::vector<size_t> all(facts.size());
-  for (size_t i = 0; i < facts.size(); ++i) all[i] = i;
-  std::vector<SolveResult> solved(facts.size());
-  Status status = MonteCarloFor(facts, all, options, &solved);
-  if (!status.ok()) return status;
   std::vector<std::pair<FactId, SolveResult>> results;
   results.reserve(facts.size());
   for (size_t i = 0; i < facts.size(); ++i) {
-    results.emplace_back(facts[i], std::move(solved[i]));
+    results.emplace_back(facts[i],
+                         ApproximateResult((*all)[i], "monte-carlo"));
   }
   return results;
 }
 
 StatusOr<std::vector<std::pair<FactId, SolveResult>>> SolverSession::ComputeAll(
     const SolverOptions& options) {
+  if (!plan_->status().ok()) return plan_->status();
   switch (options.method) {
     case SolveMethod::kBruteForce: {
       Span span(options.trace, "brute_force");
@@ -447,7 +425,7 @@ StatusOr<std::vector<std::pair<FactId, SolveResult>>> SolverSession::ComputeAll(
           Span span(options.trace, "monte_carlo");
           span.Annotate("facts", static_cast<int64_t>(remaining.size()));
           span.Annotate("samples", options.monte_carlo.num_samples);
-          Status status = MonteCarloFor(facts, remaining, options, &solved);
+          Status status = MonteCarloFor(remaining, options, &solved);
           if (!status.ok()) return status;
         }
       }
@@ -464,6 +442,7 @@ StatusOr<std::vector<std::pair<FactId, SolveResult>>> SolverSession::ComputeAll(
 
 StatusOr<SumKSeries> SolverSession::ComputeSumKSeries(
     const SolverOptions& options) const {
+  if (!plan_->status().ok()) return plan_->status();
   Status failure = UnsupportedError(kNoEngineMessage);
   for (const EngineProvider* engine : plan_->engines()) {
     if (engine->sum_k == nullptr) continue;

@@ -7,20 +7,21 @@
 //     chain, and the query-side structural analysis. Shared across
 //     databases and sessions through the fingerprint-keyed PlanCache.
 //   * SolverSession — the thin executor binding a plan to a Database. It
-//     owns only the per-(plan, db) state: the homomorphism-support
-//     structure for sampling (SupportEvaluator), built on first use.
+//     owns only the per-(plan, db) state: the sampling structure
+//     (MonteCarloGame: minimal supports, τ-ranks), built on first use.
 //
 // ComputeAll batches across facts: engines with a batched scorer (e.g.
 // the group games of Sum, Count, CountDistinct, Max and Min) share
 // per-group work across every fact; the brute-force
 // fallback sweeps the subset lattice once for all facts; the Monte Carlo
-// fallback samples through the shared support structure; and per-fact
-// engine runs fan out over a thread pool with deterministic result order.
+// fallback scores every fact from one sampling run (each sample walks one
+// permutation or coalition); and per-fact engine runs fan out over a
+// thread pool with deterministic result order.
 //
 // Equivalence contract: ComputeAll produces exactly the values of calling
 // Compute per fact. Exact paths are bitwise-identical (exact rational
-// arithmetic; batching only reorders summations), the Monte Carlo path
-// reuses the per-fact seeding, so even estimates match, and an engine that
+// arithmetic; batching only reorders summations), every Monte Carlo path
+// reads the same seeded block run, so even estimates match, and an engine that
 // fails for some facts keeps its successes — only the failing facts move
 // to the next engine or fallback, exactly like per-fact calls. One carve-
 // out: a custom engine registering ONLY a batched scorer (no score_one /
@@ -93,9 +94,10 @@ class SolverSession {
     return plan_->ExactAlgorithmName();
   }
 
-  // The shared homomorphism-support structure (built on first use).
-  const SupportEvaluator& support_evaluator();
-
+  // Compute, ComputeAll and ComputeSumKSeries return the plan's
+  // INVALID_ARGUMENT status (AttributionPlan::status) for an invalid
+  // aggregate query, before any engine or the sampler runs.
+  //
   // Score of one endogenous fact. Under kExactOnly, total failure returns
   // a structured UNSUPPORTED status naming the player count (and whether
   // it exceeds the brute-force limit), the engines consulted, and the
@@ -136,17 +138,23 @@ class SolverSession {
       const SolverOptions& options) const;
   StatusOr<std::vector<std::pair<FactId, SolveResult>>> MonteCarloAll(
       const SolverOptions& options);
-  // Monte Carlo estimates for facts[i], i in `indices`, written to
-  // (*results)[i]. Per-fact seeding through the shared support evaluator —
-  // identical to per-fact kMonteCarlo calls — fanned out over the pool.
-  Status MonteCarloFor(const std::vector<FactId>& facts,
-                       const std::vector<size_t>& indices,
+  // Every endogenous fact's estimate from one run of the session's
+  // MonteCarloGame (built on first use), aligned with
+  // Database::EndogenousFacts(). The run depends only on the score kind,
+  // seed and sample budget, so per-fact Compute, MonteCarloFor and
+  // MonteCarloAll read the same estimates.
+  StatusOr<std::vector<MonteCarloResult>> SampleAll(
+      const SolverOptions& options);
+  // Monte Carlo estimates for the endogenous facts at `indices`, written
+  // to (*results)[i]: their entries of SampleAll, identical to per-fact
+  // kMonteCarlo calls.
+  Status MonteCarloFor(const std::vector<size_t>& indices,
                        const SolverOptions& options,
                        std::vector<SolveResult>* results);
 
   std::shared_ptr<const AttributionPlan> plan_;
   const Database& db_;
-  std::unique_ptr<SupportEvaluator> support_evaluator_;
+  std::unique_ptr<MonteCarloGame> monte_carlo_game_;
 };
 
 }  // namespace shapcq

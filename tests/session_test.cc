@@ -147,8 +147,8 @@ void ExpectAllMatchesPerFact(const AggregateQuery& a, const Database& db,
           << label << " fact " << fact << " batch=" << batch.algorithm
           << " single=" << single->algorithm;
     }
-    // The sampling path reuses the per-fact seeding, so even the estimates
-    // must agree to the last bit.
+    // Per-fact and batched sampling read the same seeded run, so even the
+    // estimates must agree to the last bit.
     EXPECT_EQ(batch.approximation, single->approximation)
         << label << " fact " << fact;
   }
@@ -264,8 +264,8 @@ TEST(SessionDifferentialTest, ComputeAllMatchesPerFactForBanzhaf) {
 }
 
 TEST(SessionDifferentialTest, MonteCarloComputeAllMatchesPerFact) {
-  // Large intractable instance: Auto lands on Monte Carlo. The shared
-  // support evaluator must reproduce the per-fact estimates exactly.
+  // Large intractable instance: Auto lands on Monte Carlo. The batched
+  // run must reproduce the per-fact estimates exactly.
   ConjunctiveQuery q = MustParseQuery("Q(x) <- R(x, y), S(y)");
   Database db;
   for (int i = 0; i < 30; ++i) {
@@ -457,12 +457,38 @@ TEST(SolverSessionTest, ExactOnlyFailureNamesPlayersAndEngines) {
       << one.status().message();
 }
 
+TEST(SolverSessionTest, TauPastHeadArityIsInvalidForEveryMethod) {
+  // τ reads head position 2 of a unary head: the plan compiles invalid,
+  // with no engines, and every entry point refuses before any engine or
+  // the sampler evaluates τ.
+  ConjunctiveQuery q = MustParseQuery("Q(x) <- R(x, y), S(y)");
+  Database db;
+  db.AddEndogenous("R", {Value(1), Value(2)});
+  db.AddEndogenous("S", {Value(2)});
+  AggregateQuery a{q, MakeTauId(1), AggregateFunction::Sum()};
+  SolverSession session(a, db);
+  EXPECT_EQ(session.plan().status().code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(session.engines().empty());
+  for (SolveMethod method :
+       {SolveMethod::kAuto, SolveMethod::kExactOnly, SolveMethod::kBruteForce,
+        SolveMethod::kMonteCarlo}) {
+    SolverOptions options;
+    options.method = method;
+    EXPECT_EQ(session.Compute(0, options).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(session.ComputeAll(options).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+  EXPECT_EQ(session.ComputeSumKSeries().status().code(),
+            StatusCode::kInvalidArgument);
+}
+
 TEST(SolverSessionTest, MonteCarloEstimatesCarrySeededConfidenceIntervals) {
-  // The sampler takes seed and sample budget from SolverOptions, derives a
-  // per-fact stream, and surfaces CLT telemetry: estimates are identical
-  // across runs and thread counts, and every result carries its sample
-  // count and standard error for the ±1.96·σ̂ interval the provenance
-  // footer prints.
+  // The sampler takes seed and sample budget from SolverOptions, seeds its
+  // sample blocks from them, and surfaces CLT telemetry: estimates are
+  // identical across runs and thread counts, and every result carries its
+  // sample count and standard error for the ±1.96·σ̂ interval the
+  // provenance footer prints.
   ConjunctiveQuery q = MustParseQuery("Q(x) <- R(x, y), S(y)");
   Database db = ThirtyFivePlayerDb();
   AggregateQuery a{q, MakeTauReLU(0), AggregateFunction::Avg()};
