@@ -6,10 +6,6 @@
 #   SANITIZE=asan|ubsan|tsan  build with Address-/UB-/ThreadSanitizer
 #                             (separate build directory per sanitizer)
 #   BUILD_TYPE=<type>    CMake build type (default Release)
-#   SIMD=ON|OFF          toggle the SIMD posting-intersection kernel
-#                        (default: the CMake default, ON). The sanitizer
-#                        CI legs run OFF so the scalar fallback stays
-#                        exercised under asan/ubsan/tsan.
 #   TEST_REGEX=<regex>   run only ctest targets matching the regex
 #                        (default: the whole suite). The TSan CI job uses
 #                        this to focus on the threaded batching tests, the
@@ -23,20 +19,8 @@ cd "$(dirname "$0")"
 SANITIZE="${SANITIZE:-}"
 BUILD_TYPE="${BUILD_TYPE:-Release}"
 TEST_REGEX="${TEST_REGEX:-}"
-SIMD="${SIMD:-}"
 BUILD_DIR="build"
 CMAKE_ARGS=(-DCMAKE_BUILD_TYPE="${BUILD_TYPE}")
-
-case "${SIMD}" in
-  "") ;;
-  ON|OFF)
-    CMAKE_ARGS+=(-DSHAPCQ_SIMD="${SIMD}")
-    ;;
-  *)
-    echo "ci.sh: SIMD must be empty, 'ON', or 'OFF' (got '${SIMD}')" >&2
-    exit 2
-    ;;
-esac
 
 case "${SANITIZE}" in
   "") ;;

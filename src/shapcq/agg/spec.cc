@@ -1,6 +1,5 @@
 #include "shapcq/agg/spec.h"
 
-#include "shapcq/util/bigint.h"
 #include "shapcq/util/rational.h"
 
 namespace shapcq {
@@ -26,19 +25,13 @@ StatusOr<AggregateFunction> ParseAggregateSpec(const std::string& text) {
 }
 
 StatusOr<ValueFunctionPtr> ParseTauSpec(const std::string& text) {
-  auto index_after = [&text](size_t prefix) -> StatusOr<int> {
-    StatusOr<BigInt> i = BigInt::FromString(text.substr(prefix));
-    if (!i.ok()) return i.status();
-    if (i->ToInt64() < 1) return InvalidArgumentError("1-based index");
-    return static_cast<int>(i->ToInt64()) - 1;
-  };
   if (text.rfind("id:", 0) == 0) {
-    StatusOr<int> i = index_after(3);
+    StatusOr<int> i = ParseHeadIndexSuffix(text.substr(3));
     if (!i.ok()) return i.status();
     return MakeTauId(*i);
   }
   if (text.rfind("relu:", 0) == 0) {
-    StatusOr<int> i = index_after(5);
+    StatusOr<int> i = ParseHeadIndexSuffix(text.substr(5));
     if (!i.ok()) return i.status();
     return MakeTauReLU(*i);
   }
@@ -47,12 +40,11 @@ StatusOr<ValueFunctionPtr> ParseTauSpec(const std::string& text) {
     if (second_colon == std::string::npos) {
       return InvalidArgumentError("expected gt:<i>:<b>");
     }
-    StatusOr<BigInt> i = BigInt::FromString(text.substr(3, second_colon - 3));
+    StatusOr<int> i = ParseHeadIndexSuffix(text.substr(3, second_colon - 3));
     if (!i.ok()) return i.status();
-    if (i->ToInt64() < 1) return InvalidArgumentError("1-based index");
     StatusOr<Rational> b = Rational::FromString(text.substr(second_colon + 1));
     if (!b.ok()) return b.status();
-    return MakeTauGreaterThan(static_cast<int>(i->ToInt64()) - 1, *b);
+    return MakeTauGreaterThan(*i, *b);
   }
   if (text.rfind("const:", 0) == 0) {
     StatusOr<Rational> c = Rational::FromString(text.substr(6));

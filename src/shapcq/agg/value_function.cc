@@ -243,9 +243,6 @@ ValueFunctionPtr MakeCallbackTau(std::function<Rational(const Tuple&)> fn,
                                        std::move(name));
 }
 
-namespace {
-
-// Parses the 1-based "^<i>" head-index suffix of a tau token.
 StatusOr<int> ParseHeadIndexSuffix(std::string_view digits) {
   if (digits.empty()) return InvalidArgumentError("missing head index");
   int value = 0;
@@ -261,6 +258,8 @@ StatusOr<int> ParseHeadIndexSuffix(std::string_view digits) {
   if (value < 1) return InvalidArgumentError("head index must be >= 1");
   return value - 1;
 }
+
+namespace {
 
 // Parses a non-empty comma-separated list of 1-based head indices.
 StatusOr<std::vector<int>> ParseHeadIndexList(std::string_view text) {

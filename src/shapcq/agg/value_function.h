@@ -111,6 +111,12 @@ ValueFunctionPtr MakeCallbackTau(std::function<Rational(const Tuple&)> fn,
                                  std::vector<int> depends_on,
                                  std::string name);
 
+// Parses a 1-based head index written as plain decimal digits (at most
+// 100,000,000) and returns it 0-based; anything else is INVALID_ARGUMENT.
+// The one head-index parser for τ text: canonical tokens and the specs of
+// agg/spec.h both use it.
+StatusOr<int> ParseHeadIndexSuffix(std::string_view digits);
+
 // Parses a canonical FingerprintToken back into its value function —
 // the inverse of FingerprintToken for the built-ins above:
 //   const(<rational>)   tau_id^<i>   tau_><b>^<i>   tau_ReLU^<i>

@@ -11,13 +11,9 @@
 // every list (facts, columns, postings) stays sorted by construction and
 // const lookups are thread-safe. Deletion is a Database-level tombstone —
 // the store keeps the dead ids in place until Compact() rebuilds the lists
-// without them (FactIds are preserved; only rows move). Each relation also
-// carries a sealed-row watermark: rows at index < sealed_rows are the
-// compacted "base" segment, rows past it are the "delta" segment appended
-// since the last Compact/Seal. Because ids ascend and are never reused,
-// base ++ delta is one sorted vector, so the galloping/SIMD intersection
-// kernels consume the merged base+delta view with zero merge cost — the
-// watermark only tracks how much unsealed churn has accumulated.
+// without them (FactIds are preserved; only rows move). Ids are never
+// reused, so facts appended after a Compact() extend the same sorted lists
+// and the galloping intersection below reads them with no merge step.
 
 #ifndef SHAPCQ_DATA_COLUMN_STORE_H_
 #define SHAPCQ_DATA_COLUMN_STORE_H_
@@ -70,18 +66,11 @@ class ColumnStore {
   // Whole column, position-major: one ValueId per row of Facts(relation).
   const std::vector<ValueId>& Column(RelationId relation, int position) const;
 
-  // Rows of `relation` appended since the last Compact/Seal (the delta
-  // segment; see the header comment).
-  int num_delta_rows(RelationId relation) const;
-  // Seals every relation's delta segment: subsequent appends start a new
-  // delta. Compact() seals implicitly.
-  void Seal();
-
   // Rebuilds every relation's lists without the facts marked in `dead`
   // (indexed by FactId; ids at or past dead.size() are live). FactIds are
   // preserved — only row indexes change. When `fact_row` is non-null it is
   // updated in place (indexed by FactId) to the surviving facts' new rows;
-  // dead facts get row -1. Seals all relations.
+  // dead facts get row -1.
   void Compact(const std::vector<char>& dead, std::vector<int32_t>* fact_row);
 
  private:
@@ -91,33 +80,15 @@ class ColumnStore {
     std::vector<std::vector<ValueId>> columns;    // [position][row]
     // [position][value id] -> ascending FactIds; grown on demand.
     std::vector<std::vector<std::vector<FactId>>> postings;
-    // Rows < sealed_rows form the compacted base segment.
-    size_t sealed_rows = 0;
   };
   std::vector<Relation> relations_;
 };
 
 // Intersects ascending posting lists; `lists` must be non-empty and the
-// result is ascending. Dispatches per pair of lists: comparable lengths go
-// through a branch-light SIMD block-compare kernel (SSE2 on x86-64, NEON
-// on AArch64 — both baseline, no -march flags) when the build enables
-// SHAPCQ_SIMD; heavily skewed pairs and non-SIMD builds use galloping
-// (exponential) search, which costs O(small · log(large)).
+// result is ascending. The smallest list drives galloping (exponential)
+// probes into the others, so a pair costs O(small · log(large)).
 std::vector<FactId> IntersectPostings(
     std::vector<const std::vector<FactId>*> lists);
-
-// The scalar galloping implementation, always compiled: the differential
-// oracle for the SIMD kernel and the fallback on every platform.
-std::vector<FactId> IntersectPostingsScalar(
-    std::vector<const std::vector<FactId>*> lists);
-
-// True when IntersectPostings can take the SIMD path in this build
-// (SHAPCQ_SIMD enabled and a supported instruction set detected).
-bool SimdIntersectionAvailable();
-
-// The block kernel IntersectPostings actually runs on this machine:
-// "avx2" (runtime-dispatched 8-lane), "sse2", "neon", or "scalar".
-const char* SimdIntersectionKernelName();
 
 // Tombstone-aware intersection: IntersectPostings, then ids marked in
 // `dead` (indexed by FactId; ids at or past dead.size() are live) are

@@ -76,12 +76,13 @@ StatusOr<Database> ParseDatabase(std::string_view text) {
         return InvalidArgumentError("line " + std::to_string(line_number) +
                                     ": " + parsed.status().message());
       }
-      if (db.Contains(parsed->relation, parsed->args)) {
+      // A duplicate fact or an arity conflict is bad input, not a crash.
+      StatusOr<FactId> added = db.InsertFact(
+          parsed->relation, std::move(parsed->args), parsed->endogenous);
+      if (!added.ok()) {
         return InvalidArgumentError("line " + std::to_string(line_number) +
-                                    ": duplicate fact");
+                                    ": " + added.status().message());
       }
-      db.AddFact(parsed->relation, std::move(parsed->args),
-                 parsed->endogenous);
     }
     if (newline == std::string_view::npos) break;
     start = newline + 1;

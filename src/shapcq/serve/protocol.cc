@@ -48,8 +48,7 @@ StatusOr<RequestEnvelope> ParseRequestLine(const std::string& line) {
     solve.tau = root.GetString("tau", solve.tau);
     solve.score = root.GetString("score", solve.score);
     solve.method = root.GetString("method", solve.method);
-    solve.threads =
-        static_cast<int>(root.GetInt64("threads", solve.threads));
+    const int64_t threads = root.GetInt64("threads", solve.threads);
     solve.samples = root.GetInt64("samples", solve.samples);
     solve.seed = root.GetUint64("seed", solve.seed);
     solve.deadline_ms = root.GetInt64("deadline_ms", 0);
@@ -61,9 +60,10 @@ StatusOr<RequestEnvelope> ParseRequestLine(const std::string& line) {
     if (solve.tenant.empty()) {
       return InvalidArgumentError("solve request needs a \"tenant\"");
     }
-    if (solve.threads < 0 || solve.threads > 4096) {
+    if (threads < 0 || threads > 4096) {
       return InvalidArgumentError("threads must be in [0, 4096]");
     }
+    solve.threads = static_cast<int>(threads);
     if (solve.samples < 1 || solve.samples > int64_t{1} << 32) {
       return InvalidArgumentError("samples must be in [1, 2^32]");
     }

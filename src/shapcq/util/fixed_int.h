@@ -1,8 +1,8 @@
 // Fixed-width counting integers: the allocation-free fast path of the
 // counting core.
 //
-// The circuit model-counting passes, the batched Sum/Count delta series,
-// and the binomial rows they smooth with spend almost all of their time on
+// The circuit model-counting passes, the Avg/Quantile DP, and the
+// binomial rows they smooth with spend almost all of their time on
 // integers that fit comfortably in a couple of machine words — BigInt pays
 // a heap allocation per temporary anyway. FixedInt is a sign-magnitude
 // integer with kLimbs inline 64-bit limbs (256 bits of magnitude) whose

@@ -156,6 +156,27 @@ TEST(ValueFunctionTest, MonoidSpecsParseToCanonicalFolds) {
   }
 }
 
+// Head indexes in id:/relu:/gt: specs go through the bounded token parser:
+// an index past int range, or one that narrows to a small int, is
+// INVALID_ARGUMENT rather than an abort or a silently different τ.
+TEST(ValueFunctionTest, TauSpecsRejectOversizedHeadIndexes) {
+  for (const char* bad :
+       {"id:3000000000", "gt:3000000000:5", "id:99999999999999999999999",
+        "id:4294967297", "relu:4294967297", "gt:4294967297:1",
+        "id:2147483648", "relu:100000001", "id:0", "id:-1", "gt:-2:1",
+        "id:", "gt::1", "id:+1"}) {
+    StatusOr<ValueFunctionPtr> tau = ParseTauSpec(bad);
+    ASSERT_FALSE(tau.ok()) << bad << " parsed as " << (*tau)->ToString();
+    EXPECT_EQ(tau.status().code(), StatusCode::kInvalidArgument) << bad;
+  }
+  StatusOr<ValueFunctionPtr> largest = ParseTauSpec("id:100000000");
+  ASSERT_TRUE(largest.ok()) << largest.status().ToString();
+  EXPECT_EQ((*largest)->DependsOn(), (std::vector<int>{99999999}));
+  StatusOr<ValueFunctionPtr> gt = ParseTauSpec("gt:2:5");
+  ASSERT_TRUE(gt.ok()) << gt.status().ToString();
+  EXPECT_EQ((*gt)->FingerprintToken(), "tau_>5^2");
+}
+
 TEST(AggregateQueryTest, AverageSalaryExample) {
   // Schema of Example 2.2: Earns(person, salary), Course(name, number),
   // Took(person, course).

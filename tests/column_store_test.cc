@@ -12,6 +12,7 @@
 #include <map>
 #include <random>
 #include <set>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -153,21 +154,62 @@ TEST(IntersectPostingsTest, MatchesSetIntersection) {
   EXPECT_TRUE(IntersectPostings({&dense, &empty}).empty());
 }
 
-// Adversarial cases run against BOTH kernels: the dispatching
-// IntersectPostings (SIMD when the build enables it) and the scalar
-// galloping oracle must agree element-for-element on every shape that
-// stresses a different code path — skewed lengths (galloping cutover),
-// dense runs (block-of-4 advance), empty/singleton lists, all-match and
-// no-match, and interleavings that alternate which stream advances.
-TEST(IntersectPostingsTest, SimdAndScalarAgreeOnAdversarialShapes) {
-  auto expect_both = [](std::vector<const std::vector<FactId>*> lists,
-                        const char* label) {
-    std::vector<FactId> simd = IntersectPostings(lists);
-    std::vector<FactId> scalar = IntersectPostingsScalar(lists);
-    EXPECT_EQ(simd, scalar) << label;
-    EXPECT_TRUE(std::is_sorted(simd.begin(), simd.end())) << label;
-  };
+// Oracle for IntersectPostings: std::set_intersection folded over the
+// lists in the given order.
+std::vector<FactId> SetIntersectionOracle(
+    const std::vector<const std::vector<FactId>*>& lists) {
+  std::vector<FactId> expected = *lists.front();
+  for (size_t i = 1; i < lists.size(); ++i) {
+    std::vector<FactId> next;
+    std::set_intersection(expected.begin(), expected.end(),
+                          lists[i]->begin(), lists[i]->end(),
+                          std::back_inserter(next));
+    expected = std::move(next);
+  }
+  return expected;
+}
 
+// Checks IntersectPostings against the set_intersection oracle, and
+// IntersectPostingsLive against the oracle minus a tombstone set: no
+// tombstones, every third id dead, and a bitset that ends mid-range (ids
+// past its end are live).
+void ExpectIntersectionsMatchOracle(
+    const std::vector<const std::vector<FactId>*>& lists,
+    const std::string& label) {
+  const std::vector<FactId> expected = SetIntersectionOracle(lists);
+  const std::vector<FactId> got = IntersectPostings(lists);
+  EXPECT_EQ(got, expected) << label;
+  EXPECT_TRUE(std::is_sorted(got.begin(), got.end())) << label;
+
+  FactId max_id = 0;
+  for (const std::vector<FactId>* list : lists) {
+    if (!list->empty()) max_id = std::max(max_id, list->back());
+  }
+  std::vector<char> every_third(static_cast<size_t>(max_id) + 1, 0);
+  for (size_t id = 0; id < every_third.size(); id += 3) every_third[id] = 1;
+  std::vector<char> half(every_third.begin(),
+                         every_third.begin() +
+                             static_cast<long>(every_third.size() / 2));
+  const std::vector<char> none;
+  for (const std::vector<char>* dead :
+       std::vector<const std::vector<char>*>{&none, &every_third, &half}) {
+    std::vector<FactId> live;
+    for (FactId id : expected) {
+      const bool is_dead = static_cast<size_t>(id) < dead->size() &&
+                           (*dead)[static_cast<size_t>(id)] != 0;
+      if (!is_dead) live.push_back(id);
+    }
+    EXPECT_EQ(IntersectPostingsLive(lists, *dead), live)
+        << label << " (tombstones: " << dead->size() << ")";
+  }
+}
+
+// Adversarial shapes, each stressing a different step of the galloping
+// intersection: skewed lengths, dense runs, empty and singleton lists,
+// all-match and no-match, and interleavings that alternate which stream
+// advances. Every result is checked against std::set_intersection and,
+// through IntersectPostingsLive, against a tombstone set.
+TEST(IntersectPostingsTest, AdversarialShapesMatchSetIntersection) {
   std::vector<FactId> empty;
   std::vector<FactId> singleton = {7};
   std::vector<FactId> dense;
@@ -176,10 +218,9 @@ TEST(IntersectPostingsTest, SimdAndScalarAgreeOnAdversarialShapes) {
   for (FactId i = 0; i < 4096; i += 2) evens.push_back(i);
   std::vector<FactId> odds;
   for (FactId i = 1; i < 4096; i += 2) odds.push_back(i);
-  // Heavily skewed: 3 probes into 4096 elements (ratio past the SIMD
-  // kernel's galloping cutover).
+  // Heavily skewed: 3 probes into 4096 elements.
   std::vector<FactId> sparse = {5, 2047, 4095};
-  // Just under / over the skew limit around a ragged tail.
+  // Moderate skew (1:31) around a ragged tail.
   std::vector<FactId> mid;
   for (FactId i = 0; i < 4096; i += 31) mid.push_back(i);
   // Runs: long stretches present in both, separated by disjoint gaps.
@@ -193,19 +234,20 @@ TEST(IntersectPostingsTest, SimdAndScalarAgreeOnAdversarialShapes) {
     }
   }
 
-  expect_both({&empty, &dense}, "empty vs dense");
-  expect_both({&singleton, &dense}, "singleton hit");
-  expect_both({&singleton, &odds}, "singleton miss");
-  expect_both({&dense, &dense}, "all-match identical");
-  expect_both({&evens, &odds}, "no-match interleaved");
-  expect_both({&sparse, &dense}, "skewed 3 vs 4096");
-  expect_both({&mid, &dense}, "moderate skew, ragged tail");
-  expect_both({&runs_a, &runs_b}, "dense runs with gaps");
-  expect_both({&evens, &dense, &mid}, "three-way");
-  expect_both({&sparse, &evens, &runs_b, &dense}, "four-way mixed skew");
+  ExpectIntersectionsMatchOracle({&empty, &dense}, "empty vs dense");
+  ExpectIntersectionsMatchOracle({&singleton, &dense}, "singleton hit");
+  ExpectIntersectionsMatchOracle({&singleton, &odds}, "singleton miss");
+  ExpectIntersectionsMatchOracle({&dense, &dense}, "all-match identical");
+  ExpectIntersectionsMatchOracle({&evens, &odds}, "no-match interleaved");
+  ExpectIntersectionsMatchOracle({&sparse, &dense}, "skewed 3 vs 4096");
+  ExpectIntersectionsMatchOracle({&mid, &dense},
+                                 "moderate skew, ragged tail");
+  ExpectIntersectionsMatchOracle({&runs_a, &runs_b}, "dense runs with gaps");
+  ExpectIntersectionsMatchOracle({&evens, &dense, &mid}, "three-way");
+  ExpectIntersectionsMatchOracle({&sparse, &evens, &runs_b, &dense},
+                                 "four-way mixed skew");
 
-  // Randomized sweep over lengths straddling the 4-lane block width and
-  // the galloping cutover, checked against std::set_intersection.
+  // Randomized sweep over short and long lengths.
   std::mt19937 rng(4242);
   for (int trial = 0; trial < 300; ++trial) {
     auto random_list = [&rng](size_t max_len, int stride) {
@@ -220,53 +262,38 @@ TEST(IntersectPostingsTest, SimdAndScalarAgreeOnAdversarialShapes) {
     };
     std::vector<FactId> a = random_list(rng() % 2 ? 9 : 600, 3);
     std::vector<FactId> b = random_list(600, 7);
-    std::vector<FactId> expected;
-    std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
-                          std::back_inserter(expected));
-    EXPECT_EQ(IntersectPostings({&a, &b}), expected) << "trial " << trial;
-    EXPECT_EQ(IntersectPostingsScalar({&a, &b}), expected)
-        << "trial " << trial;
+    ExpectIntersectionsMatchOracle({&a, &b},
+                                   "trial " + std::to_string(trial));
   }
 }
 
-// Shapes aimed at the 8-lane AVX2 widening: lengths straddling multiples
-// of 8 (block boundary vs scalar tail), matches in every lane position of
-// an 8-block, and a match sitting exactly on the last element before the
-// tail. The scalar galloping path is the oracle throughout; on machines
-// or builds without AVX2 the same cases exercise the 4-lane/NEON or
-// scalar kernels, so the test is meaningful everywhere.
-TEST(IntersectPostingsTest, WideBlockBoundariesMatchScalarOracle) {
-  SCOPED_TRACE(std::string("kernel: ") + SimdIntersectionKernelName());
-  auto expect_both = [](const std::vector<FactId>& a,
-                        const std::vector<FactId>& b, const char* label) {
-    std::vector<FactId> expected;
-    std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
-                          std::back_inserter(expected));
-    EXPECT_EQ(IntersectPostings({&a, &b}), expected) << label;
-    EXPECT_EQ(IntersectPostingsScalar({&a, &b}), expected) << label;
-  };
-
-  // One match per lane position of the first 8-block.
+// Lengths around 4 and 8 and matches at every position of a short
+// prefix: edge cases for any cursor that advances in fixed-size steps,
+// kept so the one intersection path stays covered at those boundaries.
+TEST(IntersectPostingsTest, BlockBoundaryShapesMatchSetIntersection) {
+  // One match per position of the first eight elements.
   for (FactId lane = 0; lane < 8; ++lane) {
     std::vector<FactId> b;
     for (FactId i = 0; i < 24; ++i) b.push_back(i * 2);
     std::vector<FactId> a = {static_cast<FactId>(lane * 2)};
-    expect_both(a, b, "single match per lane");
+    ExpectIntersectionsMatchOracle({&a, &b}, "single match per lane");
   }
-  // Lengths 1..26 cover |b| mod 8 in every residue, with the driving list
-  // dense enough that the block path (not galloping) runs.
+  // Lengths 1..26 cover |b| mod 8 in every residue.
   for (size_t len = 1; len <= 26; ++len) {
     std::vector<FactId> b;
     for (size_t i = 0; i < len; ++i) b.push_back(static_cast<FactId>(3 * i));
     std::vector<FactId> a;
     for (size_t i = 0; i < len; ++i) a.push_back(static_cast<FactId>(2 * i));
-    expect_both(a, b, "length sweep across block residues");
+    ExpectIntersectionsMatchOracle({&a, &b},
+                                   "length sweep across residues");
   }
-  // Match exactly at the last in-block element and first tail element.
+  // Match exactly at the sixteenth and at the seventeenth element.
   std::vector<FactId> b17;
   for (FactId i = 0; i < 17; ++i) b17.push_back(i * 5);
-  expect_both({b17[15]}, b17, "match at last block element");
-  expect_both({b17[16]}, b17, "match in scalar tail");
+  std::vector<FactId> at15 = {b17[15]};
+  std::vector<FactId> at16 = {b17[16]};
+  ExpectIntersectionsMatchOracle({&at15, &b17}, "match at element 16");
+  ExpectIntersectionsMatchOracle({&at16, &b17}, "match at element 17");
 }
 
 TEST(ColumnStoreTest, SetEndogenousAfterInterningKeepsIndexes) {

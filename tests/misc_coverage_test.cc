@@ -63,6 +63,7 @@ TEST(DbIoTest, ParsesCommentsAndRejectsGarbage) {
   EXPECT_EQ(bare->num_endogenous(), 1);
   EXPECT_FALSE(ParseDatabase("+R(x)\n").ok());          // variable
   EXPECT_FALSE(ParseDatabase("+R(1)\n+R(1)\n").ok());   // duplicate
+  EXPECT_FALSE(ParseDatabase("+R(1, 2)\n+R(1)\n").ok());  // arity conflict
   EXPECT_FALSE(ParseDatabase("+R(1\n").ok());           // malformed
 }
 

@@ -150,6 +150,22 @@ TEST(ProtocolTest, ValidatesRequests) {
           .ok());
 }
 
+TEST(ProtocolTest, RejectsThreadsThatNarrowIntoRange) {
+  // Both values narrow to int 1; the range check must see the int64.
+  for (const char* threads : {"4294967297", "-4294967295"}) {
+    auto parsed = ParseRequestLine(
+        std::string(R"({"op":"solve","tenant":"t","query":"q","threads":)") +
+        threads + "}");
+    ASSERT_FALSE(parsed.ok()) << threads;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument)
+        << threads;
+  }
+  auto fits = ParseRequestLine(
+      R"({"op":"solve","tenant":"t","query":"q","threads":4096})");
+  ASSERT_TRUE(fits.ok()) << fits.status().ToString();
+  EXPECT_EQ(fits->solve.threads, 4096);
+}
+
 TEST(ProtocolTest, BuildsQueryAndOptions) {
   SolveRequest request;
   request.tenant = "t";
@@ -583,6 +599,28 @@ TEST_F(ServerTest, ServesSolvePingMetricsAndErrors) {
   EXPECT_FALSE(HttpGet(server_->metrics_port(), "/nope").ok());
 }
 
+TEST_F(ServerTest, OversizedTauHeadIndexIsAnErrorResponse) {
+  StartServer(ServerOptions{});
+  auto client = LineClient::Connect(server_->port());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  SolveRequest request;
+  request.id = 1;
+  request.tenant = "acme";
+  request.query = "Q(x) <- R(x, y), S(y)";
+  request.tau = "id:3000000000";
+  SolveResponse rejected =
+      MustRoundTrip(*client, SerializeSolveRequest(request));
+  EXPECT_EQ(rejected.status, "error");
+  EXPECT_EQ(rejected.code, "INVALID_ARGUMENT");
+  // The daemon is still up and serves the next request.
+  request.id = 2;
+  request.tau = "id:1";
+  SolveResponse solved =
+      MustRoundTrip(*client, SerializeSolveRequest(request));
+  EXPECT_EQ(solved.status, "ok");
+  EXPECT_FALSE(solved.results.empty());
+}
+
 TEST_F(ServerTest, DisconnectedClientsAreReaped) {
   // A long-running daemon must reclaim the fd and reader thread of
   // every disconnected client, not hold them until Stop().
@@ -626,6 +664,14 @@ TEST_F(ServerTest, LoadTenantOverTheWire) {
   SolveResponse bad = MustRoundTrip(
       *client, SerializeLoadTenant(3, "broken", "not a database"));
   EXPECT_EQ(bad.status, "error");
+
+  // A relation used at two arities is an error response, and the daemon
+  // keeps serving.
+  SolveResponse conflict = MustRoundTrip(
+      *client, SerializeLoadTenant(4, "broken", "+R(1, 2)\n+R(1)\n"));
+  EXPECT_EQ(conflict.status, "error");
+  EXPECT_EQ(conflict.code, "INVALID_ARGUMENT");
+  EXPECT_TRUE(MustRoundTrip(*client, SerializePing(5)).pong);
 }
 
 TEST_F(ServerTest, SaturatedTenantIsRejectedStructurally) {
