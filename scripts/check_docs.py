@@ -11,7 +11,13 @@ Walks every Markdown file (excluding build trees), and fails on:
     docs/TRACING.md);
   * a Prometheus series name (shapcq_*) that the exposition code in
     src/shapcq/serve/metrics.cc emits but docs/METRICS.md never
-    mentions — every series must be documented.
+    mentions — every series must be documented;
+  * a backticked source path (`*.h`, `*.cc`, `*.py`) in README.md or
+    docs/*.md that names no file in the repo, so docs cannot outlive a
+    deleted or moved file. A path with a directory matches a file whose
+    repo-relative path ends with it (`shapley/session.h` finds
+    src/shapcq/shapley/session.h); a bare basename matches a file of
+    that name anywhere under src/.
 
 Run from the repo root (CI and the docs_check ctest target do):
 
@@ -34,17 +40,25 @@ REQUIRED_DOCS = [
 METRICS_SOURCE = "src/shapcq/serve/metrics.cc"
 METRICS_DOC = "docs/METRICS.md"
 METRIC_NAME_RE = re.compile(r"shapcq_[a-z0-9_]+")
+CODE_SPAN_RE = re.compile(r"`([^`]+)`")
+SOURCE_PATH_RE = re.compile(r"[\w./-]*[\w-]\.(?:h|cc|py)\b")
 
 
-def markdown_files(root):
+def walk_files(root, skip_hidden=False):
     for dirpath, dirnames, filenames in os.walk(root):
         dirnames[:] = [
             d for d in dirnames
             if d not in SKIP_DIRS and not d.startswith("build")
+            and not (skip_hidden and d.startswith("."))
         ]
         for name in sorted(filenames):
-            if name.endswith(".md"):
-                yield os.path.join(dirpath, name)
+            yield os.path.join(dirpath, name)
+
+
+def markdown_files(root):
+    for path in walk_files(root):
+        if path.endswith(".md"):
+            yield path
 
 
 def strip_code(text):
@@ -106,6 +120,52 @@ def check_metrics_documented(root):
     ]
 
 
+def check_source_paths(root):
+    """Every backticked .h/.cc/.py path in README.md and docs/*.md must
+    name a file in the repo (see the module docstring for how a path
+    resolves). Fenced code blocks are skipped."""
+    # Hidden directories hold build and benchmark trees, not sources.
+    files = [
+        os.path.relpath(path, root).replace(os.sep, "/")
+        for path in walk_files(root, skip_hidden=True)
+    ]
+    src_basenames = {
+        f.rsplit("/", 1)[-1] for f in files if f.startswith("src/")
+    }
+    docs = ["README.md"] + [
+        f for f in files
+        if f.startswith("docs/") and f.count("/") == 1 and f.endswith(".md")
+    ]
+    errors = []
+    for doc in docs:
+        path = os.path.join(root, doc)
+        if not os.path.exists(path):
+            continue
+        in_fence = False
+        with open(path, encoding="utf-8") as f:
+            for number, line in enumerate(f, 1):
+                if FENCE_RE.match(line):
+                    in_fence = not in_fence
+                    continue
+                if in_fence:
+                    continue
+                for span in CODE_SPAN_RE.findall(line):
+                    for ref in SOURCE_PATH_RE.findall(span):
+                        ref = ref[2:] if ref.startswith("./") else ref
+                        if "/" in ref:
+                            found = any(
+                                f == ref or f.endswith("/" + ref)
+                                for f in files
+                            )
+                        else:
+                            found = ref in src_basenames
+                        if not found:
+                            errors.append(
+                                f"{doc}:{number}: '{ref}' names no file "
+                                "in the repo")
+    return errors
+
+
 def main():
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     errors = []
@@ -125,6 +185,7 @@ def main():
         errors.append("missing README.md")
 
     errors.extend(check_metrics_documented(root))
+    errors.extend(check_source_paths(root))
 
     count = 0
     for path in markdown_files(root):

@@ -6,7 +6,6 @@
 #include "shapcq/obs/trace.h"
 #include "shapcq/query/evaluator.h"
 #include "shapcq/shapley/linearity.h"
-#include "shapcq/util/check.h"
 #include "shapcq/util/combinatorics.h"
 
 namespace shapcq {
@@ -59,22 +58,6 @@ StatusOr<std::vector<std::pair<FactId, Rational>>> LineageCircuitScoreAll(
   Span compile_span(options.trace, "lineage_compile");
   compile_span.Annotate("tasks", static_cast<int64_t>(answers.size()));
   return ScoreGroupsOnCircuits(a, db, answers, options);
-}
-
-StatusOr<Rational> LineageCircuitScoreOne(const AggregateQuery& a,
-                                          const Database& db, FactId fact,
-                                          const SolverOptions& options) {
-  SHAPCQ_CHECK(db.fact(fact).endogenous);
-  SolverOptions serial = options;
-  serial.num_threads = 1;  // the session fans per-fact calls out already
-  StatusOr<std::vector<std::pair<FactId, Rational>>> all =
-      LineageCircuitScoreAll(a, db, serial);
-  if (!all.ok()) return all.status();
-  for (auto& [id, score] : *all) {
-    if (id == fact) return std::move(score);
-  }
-  return InternalError("lineage-circuit lost track of fact " +
-                       std::to_string(fact));
 }
 
 StatusOr<SumKSeries> LineageCircuitSumK(const AggregateQuery& a,
@@ -140,7 +123,6 @@ void RegisterLineageCircuitEngine(EngineRegistry& registry) {
   // the query.
   provider.applies = IsGroupGameAggregate;
   provider.sum_k = LineageCircuitSumK;
-  provider.score_one = LineageCircuitScoreOne;
   provider.score_all = LineageCircuitScoreAll;
   registry.Register(std::move(provider));
 }

@@ -7,28 +7,45 @@
 
 namespace shapcq {
 
-void FlightRecorder::Record(TraceRecord record) {
+size_t FlightRecorder::FastestSlowestLocked() const {
+  // Capacities are small (tens); a linear scan for the fastest retained
+  // trace beats maintaining a heap over move-heavy records.
+  size_t fastest = 0;
+  for (size_t i = 1; i < slowest_.size(); ++i) {
+    if (slowest_[i].total_micros < slowest_[fastest].total_micros) {
+      fastest = i;
+    }
+  }
+  return fastest;
+}
+
+bool FlightRecorder::KeepsLocked(const TraceRecord& record) const {
+  if (record.outcome != "ok") return incident_capacity_ > 0;
+  if (slowest_capacity_ == 0) return false;
+  return slowest_.size() < slowest_capacity_ ||
+         record.total_micros >
+             slowest_[FastestSlowestLocked()].total_micros;
+}
+
+void FlightRecorder::Record(TraceRecord record,
+                            const std::function<std::string()>& render_json) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (!KeepsLocked(record)) return;
+  }
+  // Rendered outside the lock; a record that a concurrent slower one
+  // outran meanwhile is dropped below.
+  record.json = render_json();
   std::lock_guard<std::mutex> lock(mu_);
+  if (!KeepsLocked(record)) return;
   if (record.outcome == "ok") {
-    if (slowest_capacity_ == 0) return;
     if (slowest_.size() < slowest_capacity_) {
       slowest_.push_back(std::move(record));
-      return;
-    }
-    // Capacities are small (tens); a linear scan for the fastest retained
-    // trace beats maintaining a heap over move-heavy records.
-    size_t fastest = 0;
-    for (size_t i = 1; i < slowest_.size(); ++i) {
-      if (slowest_[i].total_micros < slowest_[fastest].total_micros) {
-        fastest = i;
-      }
-    }
-    if (record.total_micros > slowest_[fastest].total_micros) {
-      slowest_[fastest] = std::move(record);
+    } else {
+      slowest_[FastestSlowestLocked()] = std::move(record);
     }
     return;
   }
-  if (incident_capacity_ == 0) return;
   if (incidents_.size() < incident_capacity_) {
     incidents_.push_back(std::move(record));
     return;

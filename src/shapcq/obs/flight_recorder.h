@@ -15,6 +15,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -29,7 +30,7 @@ struct TraceRecord {
   uint64_t request_id = 0;
   std::string outcome;  // "ok" | "degraded" | "error"
   uint64_t total_micros = 0;
-  std::string json;  // TraceContext::RenderJson() output
+  std::string json;  // TraceContext::RenderJson() output, set by Record
 };
 
 class FlightRecorder {
@@ -42,8 +43,11 @@ class FlightRecorder {
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 
   // Routes by outcome: "ok" competes for a slowest slot; anything else
-  // is an incident. Thread-safe.
-  void Record(TraceRecord record);
+  // is an incident. `render_json` fills record.json; it runs outside the
+  // lock and only when the record would be kept, so a trace that would be
+  // dropped is never rendered. Thread-safe.
+  void Record(TraceRecord record,
+              const std::function<std::string()>& render_json);
 
   // {"slowest":[...],"incidents":[...]} — each entry carries trace_id,
   // tenant, request id, outcome, total_us, and the full span dump as a
@@ -55,6 +59,12 @@ class FlightRecorder {
   size_t incident_size() const;
 
  private:
+  // Whether Record would retain `record` now; mu_ must be held.
+  bool KeepsLocked(const TraceRecord& record) const;
+  // Index of the fastest retained slowest-pool record; mu_ must be held
+  // and the pool non-empty.
+  size_t FastestSlowestLocked() const;
+
   const size_t slowest_capacity_;
   const size_t incident_capacity_;
 

@@ -787,9 +787,16 @@ void AttributionServer::RunJob(Job job) {
     for (const TraceSpan& span : trace->spans()) {
       metrics_.RecordStage(span.stage, span.duration_micros());
     }
+    // Rendered at most once: for the response when it asks for the trace,
+    // and for the flight recorder only when the recorder keeps the record.
+    std::string rendered;
+    auto render = [&rendered, trace]() {
+      if (rendered.empty()) rendered = trace->RenderJson();
+      return rendered;
+    };
     if (job.request.trace || options_.trace_level == TraceLevel::kFull) {
       response.explain = BuildEngineExplanation(*trace);
-      response.trace = trace->RenderJson();
+      response.trace = render();
     }
     TraceRecord flight;
     flight.trace_id = job.trace_id;
@@ -797,8 +804,7 @@ void AttributionServer::RunJob(Job job) {
     flight.request_id = job.request.id;
     flight.outcome = outcome;
     flight.total_micros = total_micros;
-    flight.json = trace->RenderJson();
-    flight_recorder_.Record(std::move(flight));
+    flight_recorder_.Record(std::move(flight), render);
   }
   if (LogEnabled(LogLevel::kInfo)) {
     LogLine(LogLevel::kInfo,

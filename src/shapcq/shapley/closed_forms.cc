@@ -5,6 +5,7 @@
 
 #include "shapcq/agg/value_function.h"
 #include "shapcq/shapley/engine_registry.h"
+#include "shapcq/shapley/solver_options.h"
 #include "shapcq/util/check.h"
 #include "shapcq/util/combinatorics.h"
 
@@ -135,29 +136,87 @@ StatusOr<Rational> ClosedFormAvg(const AggregateQuery& a, const Database& db,
   return result;
 }
 
-namespace {
-
-StatusOr<Rational> ClosedFormScoreOne(const AggregateQuery& a,
-                                      const Database& db, FactId fact,
-                                      const SolverOptions& options) {
+StatusOr<std::vector<std::pair<FactId, Rational>>> ClosedFormScoreAll(
+    const AggregateQuery& a, const Database& db, const SolverOptions& options) {
   if (options.score != ScoreKind::kShapley) {
     return UnsupportedError("closed forms cover the Shapley value only");
   }
-  switch (a.alpha.kind()) {
-    case AggKind::kCountDistinct:
-      return ClosedFormCountDistinct(a, db, fact);
-    case AggKind::kMax:
-      return ClosedFormMax(a, db, fact);
-    case AggKind::kMin:
-      return ClosedFormMin(a, db, fact);
-    case AggKind::kAvg:
-      return ClosedFormAvg(a, db, fact);
-    default:
-      return UnsupportedError("no closed form for this aggregate");
+  const AggKind kind = a.alpha.kind();
+  if (kind != AggKind::kCountDistinct && kind != AggKind::kMax &&
+      kind != AggKind::kMin && kind != AggKind::kAvg) {
+    return UnsupportedError("no closed form for this aggregate");
   }
+  Status shape = CheckShape(a, db);
+  if (!shape.ok()) return shape;
+  // Every live fact is an endogenous fact of the one relation.
+  const std::vector<FactId> facts = db.EndogenousFacts();
+  const int64_t n = static_cast<int64_t>(facts.size());
+  std::vector<Rational> values;
+  values.reserve(facts.size());
+  for (FactId id : facts) {
+    Rational value = a.tau->Evaluate(db.fact(id).args);
+    // Min(B) = −Max(−B): negate the values here and the scores below.
+    values.push_back(kind == AggKind::kMin ? -value : std::move(value));
+  }
+  std::vector<std::pair<FactId, Rational>> scores;
+  scores.reserve(facts.size());
+  if (kind == AggKind::kAvg) {
+    // Prop. 5.2 from H(n) and Σ τ.
+    Combinatorics comb;
+    const Rational harmonic = comb.Harmonic(n);
+    Rational total;
+    for (const Rational& value : values) total += value;
+    const Rational own = harmonic / Rational(n);
+    const Rational others = n > 1 ? (harmonic - Rational(1)) /
+                                        Rational(n * (n - 1))
+                                  : Rational();
+    for (size_t i = 0; i < facts.size(); ++i) {
+      scores.emplace_back(facts[i],
+                          own * values[i] - others * (total - values[i]));
+    }
+    return scores;
+  }
+  std::map<Rational, int64_t> multiplicity;
+  for (const Rational& value : values) ++multiplicity[value];
+  // One score per distinct value, shared by its ties.
+  std::map<Rational, Rational> score_of;
+  if (kind == AggKind::kCountDistinct) {
+    // Prop. 4.2: 1 over the multiplicity of τ(t).
+    for (const auto& [value, count] : multiplicity) {
+      score_of[value] = Rational(BigInt(1), BigInt(count));
+    }
+  } else {
+    // Prop. 4.4 over ascending values a:
+    //   τ(t)/n + Σ_{a < τ(t)} (τ(t) − a)·w_a,
+    //   w_a = Σ_k c(n, k)·(C(m[≤ a], k) − C(m[< a], k)),
+    // evaluated as τ(t)/n + τ(t)·Σ w_a − Σ a·w_a from prefix sums over the
+    // values below τ(t).
+    Combinatorics comb;
+    Rational weight_below;    // Σ_{a < τ(t)} w_a
+    Rational weighted_below;  // Σ_{a < τ(t)} a·w_a
+    int64_t below = 0;        // #facts with τ < the current value
+    for (const auto& [value, count] : multiplicity) {
+      Rational score =
+          value / Rational(n) + value * weight_below - weighted_below;
+      score_of[value] = kind == AggKind::kMin ? -score : score;
+      const int64_t le = below + count;  // m[≤ a]
+      Rational weight;
+      for (int64_t k = 1; k <= n - 1; ++k) {
+        BigInt delta = comb.Binomial(le, k) - comb.Binomial(below, k);
+        if (!delta.is_zero()) {
+          weight += comb.ShapleyCoefficient(n, k) * Rational(delta);
+        }
+      }
+      weighted_below += value * weight;
+      weight_below += weight;
+      below = le;
+    }
+  }
+  for (size_t i = 0; i < facts.size(); ++i) {
+    scores.emplace_back(facts[i], score_of.at(values[i]));
+  }
+  return scores;
 }
-
-}  // namespace
 
 void RegisterClosedFormEngines(EngineRegistry& registry) {
   EngineProvider provider;
@@ -174,9 +233,7 @@ void RegisterClosedFormEngines(EngineRegistry& registry) {
         return false;
     }
   };
-  // No score_all: the session's threaded per-fact sweep over score_one is
-  // already the right batch shape for these O(n)-per-fact formulas.
-  provider.score_one = ClosedFormScoreOne;
+  provider.score_all = ClosedFormScoreAll;
   registry.Register(std::move(provider));
 }
 

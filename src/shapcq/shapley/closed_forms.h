@@ -12,8 +12,12 @@
 #ifndef SHAPCQ_SHAPLEY_CLOSED_FORMS_H_
 #define SHAPCQ_SHAPLEY_CLOSED_FORMS_H_
 
+#include <utility>
+#include <vector>
+
 #include "shapcq/agg/aggregate.h"
 #include "shapcq/data/database.h"
+#include "shapcq/shapley/solver_options.h"
 #include "shapcq/util/rational.h"
 #include "shapcq/util/status.h"
 
@@ -42,10 +46,20 @@ StatusOr<Rational> ClosedFormMin(const AggregateQuery& a, const Database& db,
 StatusOr<Rational> ClosedFormAvg(const AggregateQuery& a, const Database& db,
                                  FactId fact);
 
+// Every endogenous fact's score under the Shapley value, ascending by
+// FactId, for CountDistinct, Max, Min and Avg. The database-wide state —
+// τ-values, their multiplicities and prefix sums, H(n), Σ τ — is built
+// once and shared by every fact, so the batch costs O(n log n) plus one
+// binomial row sweep per distinct value for Max/Min. Equals the per-fact
+// closed forms above bitwise; UNSUPPORTED for Banzhaf, other aggregates
+// and databases outside ClosedFormApplies.
+StatusOr<std::vector<std::pair<FactId, Rational>>> ClosedFormScoreAll(
+    const AggregateQuery& a, const Database& db, const SolverOptions& options);
+
 class EngineRegistry;
 
-// Registers the "closed-form/single-relation" provider: a direct per-fact
-// fast path (Shapley only) tried before the generic dynamic programs on
+// Registers the "closed-form/single-relation" provider: a batched fast
+// path (Shapley only) tried before the generic dynamic programs on
 // single-relation all-endogenous instances.
 void RegisterClosedFormEngines(EngineRegistry& registry);
 

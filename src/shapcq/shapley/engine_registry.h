@@ -1,7 +1,7 @@
 // Registry of exact Shapley engine providers.
 //
 // Each provider wraps one exact algorithm (a sum_k engine in the sense of
-// Section 3.2, and/or direct per-fact scorers) together with a cheap,
+// Section 3.2, and/or a batched scorer of every fact) together with a cheap,
 // database-independent applicability gate and a preference priority. The
 // solver façade asks the registry for the candidates applicable to an
 // aggregate query instead of hard-coding the dispatch table, so new engines
@@ -37,32 +37,25 @@
 
 namespace shapcq {
 
-// Direct per-fact score (e.g. a closed form that never goes through
-// sum_k). Receives the session's SolverOptions — options.score selects the
-// score kind, and resource-budgeted engines (lineage-circuit) read their
-// budgets from it, so the per-fact and batched paths obey the same caps.
-// Per-fact calls are already fanned out by the session, so engines must
-// not spawn their own workers here.
-using ScoreOneFn = std::function<StatusOr<Rational>(
-    const AggregateQuery&, const Database&, FactId, const SolverOptions&)>;
-
 // Batched all-facts scorer: shares per-(query, database) work — answer
-// enumeration, relevance splits, DP scaffolding — across every endogenous
-// fact. Must return one entry per endogenous fact, ascending by FactId,
-// with exactly the values the per-fact path would produce, and must fail
-// exactly where the per-fact path fails: SolverSession::ComputeAll treats
-// a failed batch as final for the engine. Receives the session's
-// SolverOptions so it can shard internally over options.num_threads
-// (ScoreKind comes from options.score); sharding must not change any
-// value — exact engines stay bitwise-identical for every thread count.
+// enumeration, relevance splits, τ-value multisets, DP scaffolding —
+// across every endogenous fact. Scores every endogenous fact or none: it
+// returns one entry per endogenous fact, ascending by FactId, or fails, and
+// SolverSession then moves every fact to the next engine. When the
+// provider also has a sum_k, the values must be the per-fact ScoreViaSumK
+// values and the batch must fail exactly where they fail, so ComputeAll
+// and per-fact Compute agree. Receives the session's SolverOptions:
+// options.score selects the score kind, resource-budgeted engines
+// (lineage-circuit) read their budgets from it, and the batch may shard
+// internally over options.num_threads — sharding must not change any
+// value, so exact engines stay bitwise-identical for every thread count.
 using ScoreAllFn = std::function<StatusOr<std::vector<std::pair<FactId, Rational>>>(
     const AggregateQuery&, const Database&, const SolverOptions&)>;
 
-// SolverSession::ComputeAll batches every provider: score_all when set,
-// else ScoreAllViaSumK (score.h) over sum_k. A failed batch is final for
-// the provider, so per-fact sweeps run only for providers with score_one
-// alone (closed forms, custom scorers). Compute (one fact) prefers
-// score_one over sum_k.
+// Every engine is a batch. SolverSession::ComputeAll runs score_all when
+// set, else ScoreAllViaSumK (score.h) over sum_k; Compute (one fact) runs
+// ScoreViaSumK over sum_k when set, else score_all with the fact picked
+// out.
 struct EngineProvider {
   std::string name;
   // Preference order: lower priorities are tried first; ties keep
@@ -71,13 +64,9 @@ struct EngineProvider {
   // Database-independent applicability gate over the aggregate query.
   std::function<bool(const AggregateQuery&)> applies;
   // sum_k(A, D') series (Section 3.2); null for providers that only score
-  // directly (closed forms).
+  // facts directly (closed forms).
   SumKEngine sum_k;
-  // Optional direct per-fact scorer: Compute uses it instead of sum_k;
-  // ComputeAll sweeps it only for providers without a batch.
-  ScoreOneFn score_one;
-  // Optional batched scorer; ComputeAll prefers it to the generic batch
-  // over sum_k.
+  // Optional batched scorer; preferred to the generic batch over sum_k.
   ScoreAllFn score_all;
 };
 
@@ -85,8 +74,11 @@ class EngineRegistry {
  public:
   // The process-wide registry, pre-populated with the built-in engines
   // (sum/count, min/max, count-distinct + injective rewrite, avg/quantile,
-  // gated product, has-duplicates, closed forms). Registration of custom
-  // providers is not thread-safe against concurrent solves.
+  // gated product, has-duplicates, closed forms, lineage circuits). Its
+  // body — the manifest of built-in engines — lives in
+  // engines/builtin_engines.cc, a composition root above shapley/ and
+  // lineage/. Registration of custom providers is not thread-safe against
+  // concurrent solves.
   static EngineRegistry& Global();
 
   EngineRegistry() = default;

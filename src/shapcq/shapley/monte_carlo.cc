@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -470,7 +471,10 @@ StatusOr<MonteCarloResult> EstimateOne(const AggregateQuery& a,
                                        const Database& db, FactId fact,
                                        ScoreKind score,
                                        const MonteCarloOptions& options) {
-  SHAPCQ_CHECK(db.fact(fact).endogenous);
+  if (!db.live(fact) || !db.fact(fact).endogenous) {
+    return InvalidArgumentError("fact " + std::to_string(fact) +
+                                " is not a live endogenous fact");
+  }
   MonteCarloGame game(a, db);
   StatusOr<std::vector<MonteCarloResult>> all = game.Estimate(score, options);
   if (!all.ok()) return all.status();

@@ -111,6 +111,8 @@ class MonteCarloGame {
 
 // Estimates Shapley(fact, a)[db] from `options.num_samples` random
 // permutations: the fact's entry of a full MonteCarloGame run.
+// INVALID_ARGUMENT unless `fact` is a live endogenous fact of `db` (the
+// same holds for the two wrappers below).
 StatusOr<MonteCarloResult> MonteCarloShapley(const AggregateQuery& a,
                                              const Database& db, FactId fact,
                                              const MonteCarloOptions& options);

@@ -106,7 +106,6 @@ std::string AttributionPlan::Explain() const {
         first = false;
       };
       if (engine.score_all != nullptr) entry("batched");
-      if (engine.score_one != nullptr) entry("per-fact");
       if (engine.sum_k != nullptr) entry("sum_k");
       out += "]\n";
     }

@@ -1,11 +1,12 @@
 #include "shapcq/shapley/session.h"
 
+#include <algorithm>
+
 #include "shapcq/lineage/stats.h"
 #include "shapcq/obs/trace.h"
 #include "shapcq/shapley/brute_force.h"
 #include "shapcq/shapley/solver.h"
 #include "shapcq/util/check.h"
-#include "shapcq/util/parallel.h"
 
 namespace shapcq {
 
@@ -33,19 +34,37 @@ SolveResult ApproximateResult(const MonteCarloResult& mc,
   return result;
 }
 
-// One engine's per-fact score: the direct scorer when the provider has
-// one, the sum_k framework otherwise.
-StatusOr<Rational> ScoreOneWith(const EngineProvider& engine,
-                                const AggregateQuery& a, const Database& db,
-                                FactId fact, const SolverOptions& options) {
-  if (engine.score_one != nullptr) {
-    return engine.score_one(a, db, fact, options);
+// A batch must hold one entry per endogenous fact, ascending — aligned with
+// `facts`. Guards against a misbehaving custom engine, which then counts as
+// failed instead of mixing up facts.
+Status CheckAligned(const EngineProvider& engine,
+                    const std::vector<std::pair<FactId, Rational>>& batch,
+                    const std::vector<FactId>& facts) {
+  bool aligned = batch.size() == facts.size();
+  for (size_t i = 0; aligned && i < facts.size(); ++i) {
+    aligned = batch[i].first == facts[i];
   }
+  if (aligned) return Status::Ok();
+  return InternalError("engine '" + engine.name +
+                       "' returned a misaligned batch");
+}
+
+// One engine's per-fact score: the sum_k framework when the provider has a
+// series, else its batch with `fact` (live and endogenous) picked out.
+StatusOr<Rational> ScoreFactWith(const EngineProvider& engine,
+                                 const AggregateQuery& a, const Database& db,
+                                 FactId fact, const SolverOptions& options) {
   if (engine.sum_k != nullptr) {
     return ScoreViaSumK(a, db, fact, engine.sum_k, options);
   }
-  return UnsupportedError("engine '" + engine.name +
-                          "' has no per-fact entry point");
+  StatusOr<std::vector<std::pair<FactId, Rational>>> batch =
+      engine.score_all(a, db, options);
+  if (!batch.ok()) return batch.status();
+  const std::vector<FactId> facts = db.EndogenousFacts();
+  Status aligned = CheckAligned(engine, *batch, facts);
+  if (!aligned.ok()) return aligned;
+  const auto at = std::lower_bound(facts.begin(), facts.end(), fact);
+  return std::move((*batch)[static_cast<size_t>(at - facts.begin())].second);
 }
 
 // The structured kExactOnly failure: names the player count, whether it is
@@ -74,18 +93,15 @@ Status ExactUnavailableStatus(const AttributionPlan& plan, int players,
   return UnsupportedError(message);
 }
 
-// The structured deadline failure: how far the exact solve got before the
+// The structured deadline failure: how far the engine chain got before the
 // cancellation hook fired, plus the bounded-time way out — callers (e.g.
 // serve/server.h) degrade to method=kMonteCarlo, whose cost is capped by
 // the sample budget.
-Status DeadlineStatus(size_t engines_tried, size_t engines_total,
-                      size_t facts_solved, size_t facts_total) {
+Status DeadlineStatus(size_t engines_tried, size_t engines_total) {
   return DeadlineExceededError(
       "deadline exceeded during exact solve: " +
       std::to_string(engines_tried) + "/" + std::to_string(engines_total) +
-      " engines tried, " + std::to_string(facts_solved) + "/" +
-      std::to_string(facts_total) +
-      " facts solved; retry with method=mc for a bounded-time estimate");
+      " engines tried; retry with method=mc for a bounded-time estimate");
 }
 
 }  // namespace
@@ -99,40 +115,39 @@ SolverSession::SolverSession(std::shared_ptr<const AttributionPlan> plan,
 SolverSession::SolverSession(AggregateQuery a, const Database& db)
     : SolverSession(PlanCache::Global().GetOrCompile(a), db) {}
 
-StatusOr<SolveResult> SolverSession::ComputeExact(FactId fact,
-                                                  const SolverOptions& options,
-                                                  Status* first_failure) const {
+StatusOr<SolveResult> SolverSession::ComputeExact(
+    FactId fact, const SolverOptions& options) const {
   Status failure = UnsupportedError(kNoEngineMessage);
   size_t engines_tried = 0;
   for (const EngineProvider* engine : plan_->engines()) {
     if (SolveCancelled(options)) {
-      Status deadline =
-          DeadlineStatus(engines_tried, plan_->engines().size(), 0, 1);
-      if (first_failure != nullptr) *first_failure = deadline;
-      return deadline;
+      return DeadlineStatus(engines_tried, plan_->engines().size());
     }
     ++engines_tried;
     StatusOr<Rational> score =
-        ScoreOneWith(*engine, a(), db_, fact, options);
+        ScoreFactWith(*engine, a(), db_, fact, options);
     if (score.ok()) {
       return ExactResult(std::move(score).value(), engine->name);
     }
     if (failure.message() == kNoEngineMessage) failure = score.status();
   }
-  if (first_failure != nullptr) *first_failure = failure;
   return failure;
 }
 
 StatusOr<SolveResult> SolverSession::Compute(FactId fact,
                                              const SolverOptions& options) {
   if (!plan_->status().ok()) return plan_->status();
+  if (!db_.live(fact)) {
+    return InvalidArgumentError("fact " + std::to_string(fact) +
+                                " is not a live fact of the database");
+  }
   if (!db_.fact(fact).endogenous) {
     return InvalidArgumentError("fact is exogenous: " +
                                 db_.fact(fact).ToString());
   }
   switch (options.method) {
     case SolveMethod::kExactOnly: {
-      StatusOr<SolveResult> exact = ComputeExact(fact, options, nullptr);
+      StatusOr<SolveResult> exact = ComputeExact(fact, options);
       if (exact.ok()) return exact;
       return ExactUnavailableStatus(*plan_, db_.num_endogenous(),
                                     exact.status());
@@ -151,7 +166,7 @@ StatusOr<SolveResult> SolverSession::Compute(FactId fact,
                                "monte-carlo");
     }
     case SolveMethod::kAuto: {
-      StatusOr<SolveResult> exact = ComputeExact(fact, options, nullptr);
+      StatusOr<SolveResult> exact = ComputeExact(fact, options);
       if (exact.ok()) return exact;
       // A deadline cancellation surfaces as-is: the caller decides whether
       // to degrade to a bounded Monte Carlo run, and the brute-force
@@ -159,57 +174,58 @@ StatusOr<SolveResult> SolverSession::Compute(FactId fact,
       if (exact.status().code() == StatusCode::kDeadlineExceeded) {
         return exact.status();
       }
-      SolverOptions forced = options;
-      forced.method = db_.num_endogenous() <= kBruteForceMaxPlayers
-                          ? SolveMethod::kBruteForce
-                          : SolveMethod::kMonteCarlo;
-      return Compute(fact, forced);
+      return Compute(fact, FallbackOptions(options));
     }
   }
   SHAPCQ_UNREACHABLE();
 }
 
-std::vector<size_t> SolverSession::ExactSweep(
-    const std::vector<FactId>& facts, const SolverOptions& options,
-    std::vector<SolveResult>* results, Status* first_failure) const {
-  SHAPCQ_CHECK(results->size() == facts.size());
+SolverOptions SolverSession::FallbackOptions(
+    const SolverOptions& options) const {
+  SolverOptions forced = options;
+  forced.method = db_.num_endogenous() <= kBruteForceMaxPlayers
+                      ? SolveMethod::kBruteForce
+                      : SolveMethod::kMonteCarlo;
+  return forced;
+}
+
+StatusOr<std::vector<std::pair<FactId, SolveResult>>>
+SolverSession::ExactAll(const SolverOptions& options) const {
+  const std::vector<FactId> facts = db_.EndogenousFacts();
+  std::vector<std::pair<FactId, SolveResult>> results;
+  if (facts.empty()) return results;
   Status failure = UnsupportedError(kNoEngineMessage);
-  auto note_failure = [&failure](const Status& status) {
-    if (failure.message() == kNoEngineMessage) failure = status;
-  };
-  std::vector<size_t> remaining(facts.size());
-  for (size_t i = 0; i < facts.size(); ++i) remaining[i] = i;
   size_t engines_tried = 0;
   for (const EngineProvider* engine : plan_->engines()) {
-    if (remaining.empty()) break;
     // Deadline poll between engines (on the calling thread only, so the
-    // sweep stays deterministic): a fired cancellation stops the chain and
-    // surfaces as the kDeadlineExceeded failure ComputeAll propagates.
+    // chain stays deterministic).
     if (SolveCancelled(options)) {
-      failure = DeadlineStatus(engines_tried, plan_->engines().size(),
-                               facts.size() - remaining.size(), facts.size());
-      if (first_failure != nullptr) *first_failure = failure;
-      return remaining;
+      return DeadlineStatus(engines_tried, plan_->engines().size());
     }
     ++engines_tried;
     // One span per engine attempt, recorded on the calling thread only.
     // The lineage-stats delta attributes circuit work (nodes compiled,
-    // budget fallbacks) to the engine that caused it; `reject` keeps this
-    // engine's own failure even when an earlier engine owns first_failure.
-    const size_t open_before = remaining.size();
-    std::string reject;
+    // budget fallbacks) to the engine that caused it.
     LineageStatsSnapshot lineage_before;
     if (options.trace != nullptr) {
       lineage_before = LineageStats::Global().Snapshot();
     }
     Span engine_span(options.trace, "engine:" + engine->name);
-    auto finish_span = [&]() {
-      if (options.trace == nullptr) return;
-      engine_span.Annotate("facts_solved",
-                           static_cast<int64_t>(open_before - remaining.size()));
+    // The engine's own batch, else the fact-level identity scorer over its
+    // sum_k. Either scores every endogenous fact or none.
+    StatusOr<std::vector<std::pair<FactId, Rational>>> batch =
+        engine->score_all != nullptr
+            ? engine->score_all(a(), db_, options)
+            : ScoreAllViaSumK(a(), db_, engine->sum_k, options);
+    const Status status =
+        batch.ok() ? CheckAligned(*engine, *batch, facts) : batch.status();
+    if (options.trace != nullptr) {
+      const int64_t solved =
+          status.ok() ? static_cast<int64_t>(facts.size()) : 0;
+      engine_span.Annotate("facts_solved", solved);
       engine_span.Annotate("facts_open",
-                           static_cast<int64_t>(remaining.size()));
-      if (!reject.empty()) engine_span.Annotate("reject", reject);
+                           static_cast<int64_t>(facts.size()) - solved);
+      if (!status.ok()) engine_span.Annotate("reject", status.message());
       const LineageStatsSnapshot delta = LineageStatsDelta(
           LineageStats::Global().Snapshot(), lineage_before);
       if (delta.circuit_nodes > 0) {
@@ -220,96 +236,24 @@ std::vector<size_t> SolverSession::ExactSweep(
         engine_span.Annotate("budget_fallbacks",
                              static_cast<int64_t>(delta.budget_fallbacks));
       }
-      engine_span.End();
-    };
-    if (engine->score_all != nullptr || engine->sum_k != nullptr) {
-      // The batch — the engine's own scorer, else the fact-level identity
-      // scorer over its sum_k — covers every endogenous fact in one run,
-      // so it serves leftover subsets too (its values are the per-fact
-      // values by contract). A failed batch is final for this engine:
-      // every built-in batch fails exactly where its per-fact path does
-      // (the gates read the query alone, and lineage's score_one reruns
-      // its batch), so a per-fact sweep would only repeat the failure.
-      StatusOr<std::vector<std::pair<FactId, Rational>>> batch =
-          engine->score_all != nullptr
-              ? engine->score_all(a(), db_, options)
-              : ScoreAllViaSumK(a(), db_, engine->sum_k, options);
-      if (batch.ok()) {
-        // The contract guarantees one entry per endogenous fact,
-        // ascending — aligned with `facts`. Guard anyway so a misbehaving
-        // custom engine degrades to "failed" instead of mixing up facts.
-        bool aligned = batch->size() == facts.size();
-        for (size_t i = 0; aligned && i < facts.size(); ++i) {
-          aligned = (*batch)[i].first == facts[i];
-        }
-        if (aligned) {
-          for (size_t idx : remaining) {
-            (*results)[idx] = ExactResult(std::move((*batch)[idx].second),
-                                          engine->name);
-          }
-          remaining.clear();
-          finish_span();
-          break;
-        }
-        Status misaligned = InternalError("engine '" + engine->name +
-                                          "' returned a misaligned batch");
-        reject = misaligned.message();
-        note_failure(misaligned);
-      } else if (batch.status().code() == StatusCode::kDeadlineExceeded) {
-        // Cancelled inside the batch: the same structured failure as the
-        // poll between engines.
-        reject = batch.status().message();
-        finish_span();
-        failure = DeadlineStatus(engines_tried, plan_->engines().size(),
-                                 facts.size() - remaining.size(), facts.size());
-        if (first_failure != nullptr) *first_failure = failure;
-        return remaining;
-      } else {
-        reject = batch.status().message();
-        note_failure(batch.status());
+    }
+    engine_span.End();
+    if (status.ok()) {
+      results.reserve(facts.size());
+      for (auto& [fact, score] : *batch) {
+        results.emplace_back(fact,
+                             ExactResult(std::move(score), engine->name));
       }
-      finish_span();
-      continue;
+      return results;
     }
-    if (engine->score_one == nullptr) {
-      finish_span();
-      continue;
+    // Cancelled inside the batch: the same structured failure as the poll
+    // between engines.
+    if (status.code() == StatusCode::kDeadlineExceeded) {
+      return DeadlineStatus(engines_tried, plan_->engines().size());
     }
-    // Per-fact sweep with a score_one-only engine (closed forms, custom
-    // providers) over the still-open facts, fanned out over the thread
-    // pool. Slot i holds remaining[i]'s outcome, so the result is
-    // independent of scheduling; failing facts stay open for the next
-    // engine instead of dragging the successes along.
-    std::vector<StatusOr<Rational>> scores(
-        remaining.size(), StatusOr<Rational>(UnsupportedError("unset")));
-    // Shards must never see the trace sink: TraceContext is single-owner
-    // and records on the sweep's thread only (see solver_options.h).
-    SolverOptions shard_options = options;
-    shard_options.trace = nullptr;
-    ParallelFor(
-        static_cast<int64_t>(remaining.size()),
-        [&](int64_t i) {
-          FactId fact = facts[remaining[static_cast<size_t>(i)]];
-          scores[static_cast<size_t>(i)] =
-              engine->score_one(a(), db_, fact, shard_options);
-        },
-        options.num_threads);
-    std::vector<size_t> still_open;
-    for (size_t i = 0; i < remaining.size(); ++i) {
-      if (scores[i].ok()) {
-        (*results)[remaining[i]] =
-            ExactResult(std::move(scores[i]).value(), engine->name);
-      } else {
-        if (reject.empty()) reject = scores[i].status().message();
-        note_failure(scores[i].status());
-        still_open.push_back(remaining[i]);
-      }
-    }
-    remaining = std::move(still_open);
-    finish_span();
+    if (failure.message() == kNoEngineMessage) failure = status;
   }
-  if (first_failure != nullptr && !remaining.empty()) *first_failure = failure;
-  return remaining;
+  return failure;
 }
 
 StatusOr<std::vector<std::pair<FactId, SolveResult>>>
@@ -332,18 +276,6 @@ StatusOr<std::vector<MonteCarloResult>> SolverSession::SampleAll(
   }
   return monte_carlo_game_->Estimate(options.score, options.monte_carlo,
                                      options.num_threads);
-}
-
-Status SolverSession::MonteCarloFor(const std::vector<size_t>& indices,
-                                    const SolverOptions& options,
-                                    std::vector<SolveResult>* results) {
-  StatusOr<std::vector<MonteCarloResult>> all = SampleAll(options);
-  if (!all.ok()) return all.status();
-  SHAPCQ_CHECK(all->size() == results->size());
-  for (size_t idx : indices) {
-    (*results)[idx] = ApproximateResult((*all)[idx], "monte-carlo");
-  }
-  return Status::Ok();
 }
 
 StatusOr<std::vector<std::pair<FactId, SolveResult>>>
@@ -385,56 +317,24 @@ StatusOr<std::vector<std::pair<FactId, SolveResult>>> SolverSession::ComputeAll(
     }
     case SolveMethod::kExactOnly:
     case SolveMethod::kAuto: {
-      std::vector<FactId> facts = db_.EndogenousFacts();
-      std::vector<SolveResult> solved(facts.size());
-      Status failure = UnsupportedError(kNoEngineMessage);
-      std::vector<size_t> remaining =
-          ExactSweep(facts, options, &solved, &failure);
-      if (!remaining.empty()) {
-        if (failure.code() == StatusCode::kDeadlineExceeded) return failure;
-        if (options.method == SolveMethod::kExactOnly) {
-          return ExactUnavailableStatus(*plan_, db_.num_endogenous(),
-                                        failure);
-        }
-        // Last deadline poll before committing to a fallback, whose cost
-        // (a full lattice sweep, or the sample budget) the caller then
-        // pays in full.
-        if (SolveCancelled(options)) {
-          return DeadlineStatus(plan_->engines().size(),
-                                plan_->engines().size(),
-                                facts.size() - remaining.size(),
-                                facts.size());
-        }
-        // Fallback for the unsolved facts only — engine successes stay,
-        // exactly like per-fact kAuto calls.
-        if (db_.num_endogenous() <= kBruteForceMaxPlayers) {
-          Span span(options.trace, "brute_force");
-          span.Annotate("facts", static_cast<int64_t>(remaining.size()));
-          // One shared lattice sweep covers every fact (ascending, aligned
-          // with `facts`); the open ones take its values.
-          StatusOr<std::vector<std::pair<FactId, Rational>>> brute =
-              BruteForceScoreAll(a(), db_, options.score);
-          if (!brute.ok()) return brute.status();
-          SHAPCQ_CHECK(brute->size() == facts.size());
-          for (size_t idx : remaining) {
-            SHAPCQ_CHECK((*brute)[idx].first == facts[idx]);
-            solved[idx] = ExactResult(std::move((*brute)[idx].second),
-                                      "brute-force");
-          }
-        } else {
-          Span span(options.trace, "monte_carlo");
-          span.Annotate("facts", static_cast<int64_t>(remaining.size()));
-          span.Annotate("samples", options.monte_carlo.num_samples);
-          Status status = MonteCarloFor(remaining, options, &solved);
-          if (!status.ok()) return status;
-        }
+      StatusOr<std::vector<std::pair<FactId, SolveResult>>> exact =
+          ExactAll(options);
+      if (exact.ok()) return exact;
+      if (exact.status().code() == StatusCode::kDeadlineExceeded) {
+        return exact.status();
       }
-      std::vector<std::pair<FactId, SolveResult>> results;
-      results.reserve(facts.size());
-      for (size_t i = 0; i < facts.size(); ++i) {
-        results.emplace_back(facts[i], std::move(solved[i]));
+      if (options.method == SolveMethod::kExactOnly) {
+        return ExactUnavailableStatus(*plan_, db_.num_endogenous(),
+                                      exact.status());
       }
-      return results;
+      // Last deadline poll before committing to a fallback, whose cost
+      // (a full lattice sweep, or the sample budget) the caller then pays
+      // in full.
+      if (SolveCancelled(options)) {
+        return DeadlineStatus(plan_->engines().size(),
+                              plan_->engines().size());
+      }
+      return ComputeAll(FallbackOptions(options));
     }
   }
   SHAPCQ_UNREACHABLE();

@@ -10,24 +10,23 @@
 //     owns only the per-(plan, db) state: the sampling structure
 //     (MonteCarloGame: minimal supports, τ-ranks), built on first use.
 //
-// ComputeAll batches across facts: engines with a batched scorer (e.g.
-// the group games of Sum, Count, CountDistinct, Max and Min) share
-// per-group work across every fact; the brute-force
-// fallback sweeps the subset lattice once for all facts; the Monte Carlo
-// fallback scores every fact from one sampling run (each sample walks one
-// permutation or coalition); and per-fact engine runs fan out over a
-// thread pool with deterministic result order.
+// Every engine is a batch: it scores every endogenous fact or none.
+// ComputeAll walks the plan's engine chain and the first batch that
+// succeeds labels every fact — the engine's own scorer (e.g. the group
+// games of Sum, Count, CountDistinct, Max and Min, or the closed forms'
+// shared τ-value multiset), else the fact-level identity scorer over its
+// sum_k. When no engine succeeds, kAuto falls back for all facts at once:
+// one brute-force sweep of the subset lattice, or one Monte Carlo run
+// (each sample walks one permutation or coalition).
 //
-// Equivalence contract: ComputeAll produces exactly the values of calling
-// Compute per fact. Exact paths are bitwise-identical (exact rational
-// arithmetic; batching only reorders summations), every Monte Carlo path
-// reads the same seeded block run, so even estimates match, and an engine that
-// fails for some facts keeps its successes — only the failing facts move
-// to the next engine or fallback, exactly like per-fact calls. One carve-
-// out: a custom engine registering ONLY a batched scorer (no score_one /
-// sum_k) is reachable from ComputeAll but not from per-fact Compute; every
-// built-in engine has a per-fact entry point, so the paths agree for all
-// of them.
+// Equivalence contract: ComputeAll produces exactly the values and engine
+// labels of calling Compute per fact. Compute tries the same chain per
+// fact, through the engine's sum_k (ScoreViaSumK) when it has one and
+// otherwise through its batch with the fact picked out, so a batch-only
+// custom engine is reachable from both. Exact paths are bitwise-identical
+// (exact rational arithmetic; batching only reorders summations), and
+// every Monte Carlo path reads the same seeded block run, so even
+// estimates match.
 //
 // A session borrows the database: it must outlive the session, and facts
 // must not be added while the session is in use.
@@ -98,15 +97,16 @@ class SolverSession {
   // INVALID_ARGUMENT status (AttributionPlan::status) for an invalid
   // aggregate query, before any engine or the sampler runs.
   //
-  // Score of one endogenous fact. Under kExactOnly, total failure returns
-  // a structured UNSUPPORTED status naming the player count (and whether
-  // it exceeds the brute-force limit), the engines consulted, and the
-  // first engine failure — so a query stranded outside every exact engine
-  // is diagnosable instead of a bare per-engine message.
+  // Score of one live endogenous fact; any other id (tombstoned, exogenous
+  // or out of range) is INVALID_ARGUMENT. Under kExactOnly, total failure
+  // returns a structured UNSUPPORTED status naming the player count (and
+  // whether it exceeds the brute-force limit), the engines consulted, and
+  // the first engine failure — so a query stranded outside every exact
+  // engine is diagnosable instead of a bare per-engine message.
   StatusOr<SolveResult> Compute(FactId fact, const SolverOptions& options = {});
 
   // Scores of all endogenous facts, ascending by FactId. The fast path:
-  // batched engines, shared fallbacks, thread-pool fan-out. kExactOnly
+  // one engine batch or one shared fallback for every fact. kExactOnly
   // failures carry the same structured status as Compute. When
   // options.cancelled fires (a serving deadline), the call returns a
   // structured kDeadlineExceeded status instead of starting the next
@@ -123,17 +123,18 @@ class SolverSession {
  private:
   const AggregateQuery& a() const { return plan_->aggregate_query(); }
 
-  StatusOr<SolveResult> ComputeExact(FactId fact, const SolverOptions& options,
-                                     Status* first_failure) const;
-  // Walks the engine chain over `facts`: each fact keeps the first engine
-  // that scores it and only failing facts move on. Solved facts land in
-  // (*results)[i]; the returned indices (into `facts`, ascending) are the
-  // facts no engine could solve. `first_failure` records the first genuine
-  // engine error.
-  std::vector<size_t> ExactSweep(const std::vector<FactId>& facts,
-                                 const SolverOptions& options,
-                                 std::vector<SolveResult>* results,
-                                 Status* first_failure) const;
+  // The first engine of the chain that scores `fact`; otherwise the first
+  // genuine engine error, or the structured deadline status.
+  StatusOr<SolveResult> ComputeExact(FactId fact,
+                                     const SolverOptions& options) const;
+  // The first engine batch of the chain that succeeds, labelling every
+  // endogenous fact; otherwise the first genuine engine error, or the
+  // structured deadline status.
+  StatusOr<std::vector<std::pair<FactId, SolveResult>>> ExactAll(
+      const SolverOptions& options) const;
+  // kAuto's fallback when no engine succeeds: brute force within its
+  // player limit, Monte Carlo past it.
+  SolverOptions FallbackOptions(const SolverOptions& options) const;
   StatusOr<std::vector<std::pair<FactId, SolveResult>>> BruteForceAll(
       const SolverOptions& options) const;
   StatusOr<std::vector<std::pair<FactId, SolveResult>>> MonteCarloAll(
@@ -141,16 +142,10 @@ class SolverSession {
   // Every endogenous fact's estimate from one run of the session's
   // MonteCarloGame (built on first use), aligned with
   // Database::EndogenousFacts(). The run depends only on the score kind,
-  // seed and sample budget, so per-fact Compute, MonteCarloFor and
-  // MonteCarloAll read the same estimates.
+  // seed and sample budget, so per-fact Compute and MonteCarloAll read the
+  // same estimates.
   StatusOr<std::vector<MonteCarloResult>> SampleAll(
       const SolverOptions& options);
-  // Monte Carlo estimates for the endogenous facts at `indices`, written
-  // to (*results)[i]: their entries of SampleAll, identical to per-fact
-  // kMonteCarlo calls.
-  Status MonteCarloFor(const std::vector<size_t>& indices,
-                       const SolverOptions& options,
-                       std::vector<SolveResult>* results);
 
   std::shared_ptr<const AttributionPlan> plan_;
   const Database& db_;

@@ -64,14 +64,15 @@ struct SolverOptions {
   SolveMethod method = SolveMethod::kAuto;
   MonteCarloOptions monte_carlo;
   LineageOptions lineage;
-  // Worker threads for batched computations: the per-fact fan-out in
-  // ComputeAll and the internal sharding of the batched engine scorers
-  // (ScoreAllFn); < 1 means hardware concurrency. Exact results are
-  // bitwise-identical regardless of the thread count.
+  // Worker threads for the engine batches — the groups of the group driver
+  // (linearity.h), the facts of the fact-level driver (score.h), the blocks
+  // of the block sweeps — and for the Monte Carlo sample blocks; < 1 means
+  // hardware concurrency. Exact results are bitwise-identical regardless
+  // of the thread count.
   int num_threads = 0;
   // Cooperative cancellation for serving deadlines (serve/server.h). When
   // set, the session polls it on the solving thread at coarse phase
-  // boundaries — before the exact sweep, between engines, and before the
+  // boundaries — before every engine of the chain and before the
   // brute-force/Monte-Carlo fallback — and both batch drivers poll it from
   // their workers: the group driver (ScoreGroupsByLinearity, linearity.h)
   // before every group and the fact-level scorer (ScoreFactsByIdentity,
@@ -84,9 +85,10 @@ struct SolverOptions {
   std::function<bool()> cancelled;
   // Optional per-request trace sink (obs/trace.h). Borrowed, not owned,
   // and NOT thread-safe: span sites record on the calling thread only —
-  // the session strips this pointer from the option copies it hands to
-  // per-fact ParallelFor shards, so tracing can never race or perturb
-  // results. Null means no span collection (one pointer test per site).
+  // batch workers record no spans, and ScoreAllViaSumK strips this pointer
+  // from the options of the engine runs inside its workers — so tracing
+  // can never race or perturb results. Null means no span collection (one
+  // pointer test per site).
   TraceContext* trace = nullptr;
 };
 

@@ -1,24 +1,81 @@
-#include "shapcq/shapley/game.h"
+// Cooperative games (Section 2 of the paper): the test oracle for the
+// game-theoretic reductions.
+//
+// A cooperative game is (P, ν) with ν(∅) = 0. The database setting
+// instantiates P with the endogenous facts and ν(C) = A(C ∪ D_x) − A(D_x);
+// the hardness proofs instantiate it with e.g. the Set-Cover game. This
+// module provides exact Shapley/Banzhaf values for arbitrary small games by
+// enumeration — the reference semantics every reduction is checked against —
+// plus the axioms as predicates for property tests.
 
+#ifndef SHAPCQ_TESTS_COOPERATIVE_GAME_H_
+#define SHAPCQ_TESTS_COOPERATIVE_GAME_H_
+
+#include <cstdint>
+#include <functional>
 #include <set>
+#include <utility>
+#include <vector>
 
+#include "shapcq/shapley/score.h"
 #include "shapcq/util/check.h"
 #include "shapcq/util/combinatorics.h"
+#include "shapcq/util/rational.h"
+#include "shapcq/util/status.h"
 
 namespace shapcq {
 
-CooperativeGame::CooperativeGame(int num_players,
-                                 std::function<Rational(uint64_t)> utility)
+// A cooperative game over players 0..num_players−1 with a set-function
+// utility given on bitmasks. The implementation enforces ν(∅) = 0 by
+// shifting: effective ν(C) = utility(C) − utility(∅).
+class CooperativeGame {
+ public:
+  // `utility` is called with a bitmask over players; must be deterministic.
+  CooperativeGame(int num_players, std::function<Rational(uint64_t)> utility);
+
+  int num_players() const { return num_players_; }
+  // Effective utility (shifted so that ν(∅) = 0).
+  Rational Utility(uint64_t coalition) const;
+
+  // Exact score by enumeration over the 2^(n−1) coalitions avoiding the
+  // player. Requires num_players <= 26.
+  StatusOr<Rational> Score(int player,
+                           ScoreKind kind = ScoreKind::kShapley) const;
+  StatusOr<std::vector<Rational>> AllScores(
+      ScoreKind kind = ScoreKind::kShapley) const;
+
+  // Axiom predicates (enumeration-based; same size limits).
+  // Σ_p Shapley(p) == ν(P).
+  StatusOr<bool> SatisfiesEfficiency() const;
+  // ν(C ∪ {p}) == ν(C) for all C implies Shapley(p) == 0.
+  StatusOr<bool> IsNullPlayer(int player) const;
+  // Players p, q interchangeable w.r.t. ν.
+  StatusOr<bool> AreSymmetric(int p, int q) const;
+
+ private:
+  int num_players_;
+  std::function<Rational(uint64_t)> utility_;
+  Rational empty_value_;
+};
+
+// The Set-Cover game of Lemma D.5: players are sets, ν(C) = 1 iff the
+// chosen sets cover {1..universe_size}.
+CooperativeGame SetCoverGame(int universe_size,
+                             const std::vector<std::vector<int>>& sets);
+
+inline CooperativeGame::CooperativeGame(
+    int num_players, std::function<Rational(uint64_t)> utility)
     : num_players_(num_players), utility_(std::move(utility)) {
   SHAPCQ_CHECK(num_players >= 0);
   empty_value_ = utility_(0);
 }
 
-Rational CooperativeGame::Utility(uint64_t coalition) const {
+inline Rational CooperativeGame::Utility(uint64_t coalition) const {
   return utility_(coalition) - empty_value_;
 }
 
-StatusOr<Rational> CooperativeGame::Score(int player, ScoreKind kind) const {
+inline StatusOr<Rational> CooperativeGame::Score(int player,
+                                                ScoreKind kind) const {
   if (num_players_ > 26) {
     return UnsupportedError("game enumeration limited to 26 players");
   }
@@ -47,7 +104,7 @@ StatusOr<Rational> CooperativeGame::Score(int player, ScoreKind kind) const {
   return score;
 }
 
-StatusOr<std::vector<Rational>> CooperativeGame::AllScores(
+inline StatusOr<std::vector<Rational>> CooperativeGame::AllScores(
     ScoreKind kind) const {
   std::vector<Rational> scores;
   scores.reserve(static_cast<size_t>(num_players_));
@@ -59,7 +116,7 @@ StatusOr<std::vector<Rational>> CooperativeGame::AllScores(
   return scores;
 }
 
-StatusOr<bool> CooperativeGame::SatisfiesEfficiency() const {
+inline StatusOr<bool> CooperativeGame::SatisfiesEfficiency() const {
   StatusOr<std::vector<Rational>> scores = AllScores();
   if (!scores.ok()) return scores.status();
   Rational total;
@@ -70,7 +127,7 @@ StatusOr<bool> CooperativeGame::SatisfiesEfficiency() const {
   return total == Utility(grand);
 }
 
-StatusOr<bool> CooperativeGame::IsNullPlayer(int player) const {
+inline StatusOr<bool> CooperativeGame::IsNullPlayer(int player) const {
   if (num_players_ > 26) {
     return UnsupportedError("game enumeration limited to 26 players");
   }
@@ -82,7 +139,7 @@ StatusOr<bool> CooperativeGame::IsNullPlayer(int player) const {
   return true;
 }
 
-StatusOr<bool> CooperativeGame::AreSymmetric(int p, int q) const {
+inline StatusOr<bool> CooperativeGame::AreSymmetric(int p, int q) const {
   if (num_players_ > 26) {
     return UnsupportedError("game enumeration limited to 26 players");
   }
@@ -96,8 +153,8 @@ StatusOr<bool> CooperativeGame::AreSymmetric(int p, int q) const {
   return true;
 }
 
-CooperativeGame SetCoverGame(int universe_size,
-                             const std::vector<std::vector<int>>& sets) {
+inline CooperativeGame SetCoverGame(int universe_size,
+                                    const std::vector<std::vector<int>>& sets) {
   SHAPCQ_CHECK(universe_size >= 1);
   std::vector<std::vector<int>> sets_copy = sets;
   int n = static_cast<int>(sets.size());
@@ -115,4 +172,7 @@ CooperativeGame SetCoverGame(int universe_size,
       });
 }
 
+
 }  // namespace shapcq
+
+#endif  // SHAPCQ_TESTS_COOPERATIVE_GAME_H_

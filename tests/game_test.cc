@@ -10,7 +10,7 @@
 #include "shapcq/agg/value_function.h"
 #include "shapcq/query/parser.h"
 #include "shapcq/shapley/brute_force.h"
-#include "shapcq/shapley/game.h"
+#include "tests/cooperative_game.h"
 #include "shapcq/workload/generators.h"
 
 namespace shapcq {

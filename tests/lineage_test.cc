@@ -208,11 +208,13 @@ void ExpectMatchesBruteForce(const AggregateQuery& a, const Database& db,
             << " threads " << threads << " fact " << (*brute)[i].first;
       }
     }
-    // Per-fact entry point agrees with the batch.
+    // The per-fact path (ScoreViaSumK over the engine's series, which
+    // per-fact Compute takes) agrees with the batch.
     auto batch = LineageCircuitScoreAll(a, db, Options(kind, 1));
     ASSERT_TRUE(batch.ok()) << label;
     for (const auto& [fact, score] : *batch) {
-      auto one = LineageCircuitScoreOne(a, db, fact, Options(kind));
+      auto one =
+          ScoreViaSumK(a, db, fact, LineageCircuitSumK, Options(kind));
       ASSERT_TRUE(one.ok()) << label;
       EXPECT_EQ(*one, score) << label << " fact " << fact;
     }
@@ -281,7 +283,7 @@ TEST(LineageEngineTest, SumKSeriesMatchesBruteForce) {
 // CountDistinct, Max and Min are weighted sums of group games (one per
 // τ-value, one per threshold), so the engine serves them on any CQ and
 // any τ: bitwise brute force on the FP#P-hard side of their frontiers,
-// through score_all, score_one and sum_k.
+// through score_all and sum_k.
 TEST(LineageEngineTest, GroupGamesMatchBruteForcePastTheFrontier) {
   const std::vector<std::string> queries = {
       "Q(z) <- R(z, x), S(x, y), T(y)",  // not hierarchical
@@ -424,18 +426,20 @@ TEST(LineagePlanTest, EngineChainAndFingerprints) {
   AggregateQuery sum{q, MakeTauId(0), AggregateFunction::Sum()};
   auto plan = AttributionPlan::Compile(sum);
   // The chain holds the linearity DP first and the circuit engine as the
-  // exact backstop; Explain surfaces it with all three entry points.
+  // exact backstop; Explain surfaces it with both entry points: the batch
+  // (ComputeAll) and the series (per-fact Compute, ComputeSumKSeries).
   bool found = false;
   for (const EngineProvider* engine : plan->engines()) {
     if (engine->name == "lineage-circuit") {
       found = true;
       EXPECT_TRUE(engine->score_all != nullptr);
-      EXPECT_TRUE(engine->score_one != nullptr);
       EXPECT_TRUE(engine->sum_k != nullptr);
     }
   }
   EXPECT_TRUE(found);
-  EXPECT_NE(plan->Explain().find("lineage-circuit"), std::string::npos);
+  EXPECT_NE(plan->Explain().find("lineage-circuit  [batched, sum_k]"),
+            std::string::npos)
+      << plan->Explain();
   // The chain order puts the frontier DP ahead of the circuit backstop.
   ASSERT_FALSE(plan->engines().empty());
   EXPECT_EQ(plan->engines().front()->name, "sum-count/linearity");

@@ -190,8 +190,8 @@ TEST(MonteCarloDeterminismTest, ThreadCountsAgreeBitwise) {
 
 TEST(MonteCarloDeterminismTest, SessionPathsReadOneRun) {
   // Per-fact Compute (kMonteCarlo and the kAuto fallback), the kAuto
-  // ComputeAll fallback over the facts no engine solved (MonteCarloFor),
-  // and the kMonteCarlo ComputeAll must all report the same estimates.
+  // ComputeAll fallback when no engine batch succeeds, and the
+  // kMonteCarlo ComputeAll must all report the same estimates.
   const ConjunctiveQuery q = MustParseQuery("Q(x) <- R(x, y), S(y)");
   const Database db = ThirtyFivePlayerDb();
   const AggregateQuery a{q, MakeTauReLU(0), AggregateFunction::Avg()};

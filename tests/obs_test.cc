@@ -185,17 +185,27 @@ TraceRecord MakeRecord(uint64_t id, const std::string& outcome,
   record.request_id = id;
   record.outcome = outcome;
   record.total_micros = total_micros;
-  TraceContext trace(id);
-  trace.AddSpan("solve", 0, total_micros * 1000);
-  record.json = trace.RenderJson();
   return record;
+}
+
+// Records a request whose trace holds one solve span; `renders` counts the
+// calls of the render callback.
+void RecordRequest(FlightRecorder* recorder, uint64_t id,
+                   const std::string& outcome, uint64_t total_micros,
+                   int* renders = nullptr) {
+  recorder->Record(MakeRecord(id, outcome, total_micros), [&]() {
+    if (renders != nullptr) ++*renders;
+    TraceContext trace(id);
+    trace.AddSpan("solve", 0, total_micros * 1000);
+    return trace.RenderJson();
+  });
 }
 
 TEST(FlightRecorderTest, KeepsTheSlowestOkRequests) {
   FlightRecorder recorder(3, 3);
   // 10 ok requests, total latency 1..10: only the three slowest survive.
   for (uint64_t i = 1; i <= 10; ++i) {
-    recorder.Record(MakeRecord(i, "ok", i * 100));
+    RecordRequest(&recorder, i, "ok", i * 100);
   }
   EXPECT_EQ(recorder.slowest_size(), 3u);
   EXPECT_EQ(recorder.incident_size(), 0u);
@@ -217,7 +227,7 @@ TEST(FlightRecorderTest, KeepsTheSlowestOkRequests) {
 TEST(FlightRecorderTest, IncidentRingKeepsTheMostRecent) {
   FlightRecorder recorder(2, 3);
   for (uint64_t i = 1; i <= 5; ++i) {
-    recorder.Record(MakeRecord(i, i % 2 == 0 ? "error" : "degraded", i));
+    RecordRequest(&recorder, i, i % 2 == 0 ? "error" : "degraded", i);
   }
   EXPECT_EQ(recorder.incident_size(), 3u);
   auto parsed = ParseJson(recorder.RenderJson());
@@ -231,6 +241,33 @@ TEST(FlightRecorderTest, IncidentRingKeepsTheMostRecent) {
   EXPECT_EQ(incidents->array[2].GetString("trace_id"), TraceIdHex(5));
   EXPECT_EQ(incidents->array[0].GetString("outcome"), "degraded");
   EXPECT_EQ(incidents->array[1].GetString("outcome"), "error");
+}
+
+TEST(FlightRecorderTest, RendersOnlyTheRecordsItKeeps) {
+  FlightRecorder recorder(2, 1);
+  int renders = 0;
+  RecordRequest(&recorder, 1, "ok", 500, &renders);
+  RecordRequest(&recorder, 2, "ok", 600, &renders);
+  EXPECT_EQ(renders, 2);
+  // The slowest pool is full: a faster ok record is dropped unrendered.
+  RecordRequest(&recorder, 3, "ok", 100, &renders);
+  EXPECT_EQ(renders, 2);
+  EXPECT_EQ(recorder.slowest_size(), 2u);
+  // A slower one evicts the fastest and is rendered once.
+  RecordRequest(&recorder, 4, "ok", 700, &renders);
+  EXPECT_EQ(renders, 3);
+  // Every incident is kept, so every incident is rendered.
+  RecordRequest(&recorder, 5, "error", 50, &renders);
+  EXPECT_EQ(renders, 4);
+  auto parsed = ParseJson(recorder.RenderJson());
+  ASSERT_TRUE(parsed.ok());
+  const JsonValue* slowest = parsed->Find("slowest");
+  ASSERT_EQ(slowest->array.size(), 2u);
+  EXPECT_EQ(slowest->array[0].GetString("trace_id"), TraceIdHex(4));
+  EXPECT_EQ(slowest->array[1].GetString("trace_id"), TraceIdHex(2));
+  auto nested = ParseJson(slowest->array[0].GetString("trace"));
+  ASSERT_TRUE(nested.ok());
+  EXPECT_EQ(nested->GetString("trace_id"), TraceIdHex(4));
 }
 
 TEST(FlightRecorderTest, EmptyRecorderRendersWellFormedJson) {

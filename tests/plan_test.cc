@@ -379,30 +379,35 @@ TEST(PlanCacheTest, WarmAndColdComputeAllAreBitwiseIdentical) {
 }
 
 // ---------------------------------------------------------------------------
-// Per-fact engine fallback (the former ComputeAll divergence)
+// Every engine is a batch: it scores every fact or none
 // ---------------------------------------------------------------------------
 
-// A deliberately flaky engine: first in the chain for queries over the
-// marker relation "PzR", correct (brute-force) values for every fact except
-// the smallest endogenous FactId, where it fails. The executor must keep
-// its successes and move only the failing fact to the next engine — exactly
-// what per-fact Compute calls do.
+// Brute-force scores of every endogenous fact, as a custom batch returns
+// them.
+StatusOr<std::vector<std::pair<FactId, Rational>>> BruteForceBatch(
+    const AggregateQuery& a, const Database& db, const SolverOptions& options) {
+  return BruteForceScoreAll(a, db, options.score);
+}
+
+// A provider whose batch always fails, first in the chain for queries over
+// the marker relation "PzR": a batch that cannot score some fact fails as a
+// whole, so every fact moves to the next engine — on ComputeAll and
+// per-fact Compute alike.
+std::atomic<int> poison_batch_calls{0};
+
 void RegisterPoisonEngineOnce() {
   static bool registered = [] {
     EngineProvider provider;
-    provider.name = "poison/partial-failure";
+    provider.name = "poison/whole-batch";
     provider.priority = 0;  // ahead of every built-in
     provider.applies = [](const AggregateQuery& a) {
       return !a.query.AtomsOf("PzR").empty();
     };
-    provider.score_one = [](const AggregateQuery& a, const Database& db,
-                            FactId fact,
-                            const SolverOptions& options)
-        -> StatusOr<Rational> {
-      if (fact == db.EndogenousFacts().front()) {
-        return UnsupportedError("poisoned fact");
-      }
-      return BruteForceScore(a, db, fact, options.score);
+    provider.score_all = [](const AggregateQuery&, const Database&,
+                            const SolverOptions&)
+        -> StatusOr<std::vector<std::pair<FactId, Rational>>> {
+      poison_batch_calls.fetch_add(1);
+      return UnsupportedError("poisoned fact");
     };
     EngineRegistry::Global().Register(std::move(provider));
     return true;
@@ -410,7 +415,7 @@ void RegisterPoisonEngineOnce() {
   (void)registered;
 }
 
-TEST(ExactSweepTest, EngineFailingForSomeFactsKeepsItsSuccesses) {
+TEST(ExactSweepTest, FailingBatchMovesEveryFactToTheNextEngine) {
   RegisterPoisonEngineOnce();
   AggregateQuery a = Agg("Q(x) <- PzR(x, y)", AggregateFunction::Sum(),
                          MakeTauId(0));
@@ -419,73 +424,62 @@ TEST(ExactSweepTest, EngineFailingForSomeFactsKeepsItsSuccesses) {
     db.AddEndogenous("PzR", {Value(i), Value(i + 10)});
   }
   SolverSession session(AttributionPlan::Compile(a), db);
+  poison_batch_calls.store(0);
   auto all = session.ComputeAll();
   ASSERT_TRUE(all.ok()) << all.status().ToString();
+  // One batch attempt, final for the engine.
+  EXPECT_EQ(poison_batch_calls.load(), 1);
   ASSERT_EQ(all->size(), 5u);
-  FactId poisoned = db.EndogenousFacts().front();
-  int poison_engine_facts = 0;
   for (const auto& [fact, result] : *all) {
-    // ComputeAll must match the per-fact path in value AND engine choice.
+    EXPECT_TRUE(result.is_exact);
+    EXPECT_EQ(result.algorithm, "sum-count/linearity") << "fact " << fact;
+    EXPECT_EQ(result.exact, *BruteForceScore(a, db, fact));
+    // Per-fact Compute runs the same failing batch and moves on to the
+    // same engine with the same value.
     auto per_fact = session.Compute(fact);
-    ASSERT_TRUE(per_fact.ok());
-    EXPECT_EQ(result.exact, per_fact->exact);
-    EXPECT_EQ(result.algorithm, per_fact->algorithm);
-    if (result.algorithm == "poison/partial-failure") ++poison_engine_facts;
-    if (fact == poisoned) {
-      EXPECT_NE(result.algorithm, "poison/partial-failure");
-    }
+    ASSERT_TRUE(per_fact.ok()) << per_fact.status().ToString();
+    EXPECT_EQ(per_fact->exact, result.exact) << "fact " << fact;
+    EXPECT_EQ(per_fact->algorithm, result.algorithm) << "fact " << fact;
   }
-  // Only the poisoned fact moved on; the other four kept the first engine.
-  EXPECT_EQ(poison_engine_facts, 4);
 }
 
-// A provider whose batch always fails, first in the chain for queries over
-// the marker relation "FbR", with a per-fact scorer that counts its calls.
-std::atomic<int> failing_batch_score_one_calls{0};
-
-void RegisterFailingBatchEngineOnce() {
+// A batch-only provider (no sum_k), first in the chain for queries over
+// the marker relation "BoR", scoring every fact by brute force.
+void RegisterBatchOnlyEngineOnce() {
   static bool registered = [] {
     EngineProvider provider;
-    provider.name = "failing-batch/counted";
+    provider.name = "batch-only/custom";
     provider.priority = 0;  // ahead of every built-in
     provider.applies = [](const AggregateQuery& a) {
-      return !a.query.AtomsOf("FbR").empty();
+      return !a.query.AtomsOf("BoR").empty();
     };
-    provider.score_all = [](const AggregateQuery&, const Database&,
-                            const SolverOptions&)
-        -> StatusOr<std::vector<std::pair<FactId, Rational>>> {
-      return UnsupportedError("batch refused");
-    };
-    provider.score_one = [](const AggregateQuery& a, const Database& db,
-                            FactId fact,
-                            const SolverOptions& options)
-        -> StatusOr<Rational> {
-      failing_batch_score_one_calls.fetch_add(1);
-      return BruteForceScore(a, db, fact, options.score);
-    };
+    provider.score_all = BruteForceBatch;
     EngineRegistry::Global().Register(std::move(provider));
     return true;
   }();
   (void)registered;
 }
 
-TEST(ExactSweepTest, FailedBatchIsFinalForItsEngine) {
-  RegisterFailingBatchEngineOnce();
-  AggregateQuery a = Agg("Q(x) <- FbR(x, y)", AggregateFunction::Sum(),
+TEST(ExactSweepTest, BatchOnlyProviderIsReachableFromPerFactCompute) {
+  RegisterBatchOnlyEngineOnce();
+  AggregateQuery a = Agg("Q(x) <- BoR(x, y)", AggregateFunction::Max(),
                          MakeTauId(0));
   Database db;
   for (int i = 1; i <= 5; ++i) {
-    db.AddEndogenous("FbR", {Value(i), Value(i + 10)});
+    db.AddEndogenous("BoR", {Value(i % 3), Value(i)});
   }
+  db.AddExogenous("BoR", {Value(7), Value(7)});
   SolverSession session(AttributionPlan::Compile(a), db);
-  failing_batch_score_one_calls.store(0);
   auto all = session.ComputeAll();
   ASSERT_TRUE(all.ok()) << all.status().ToString();
-  EXPECT_EQ(failing_batch_score_one_calls.load(), 0);
   ASSERT_EQ(all->size(), 5u);
   for (const auto& [fact, result] : *all) {
-    EXPECT_TRUE(result.is_exact);
-    EXPECT_EQ(result.algorithm, "sum-count/linearity") << "fact " << fact;
+    EXPECT_EQ(result.algorithm, "batch-only/custom") << "fact " << fact;
+    auto per_fact = session.Compute(fact);
+    ASSERT_TRUE(per_fact.ok()) << per_fact.status().ToString();
+    EXPECT_EQ(per_fact->algorithm, "batch-only/custom") << "fact " << fact;
+    EXPECT_EQ(per_fact->exact, result.exact) << "fact " << fact;
+    EXPECT_EQ(per_fact->exact, *BruteForceScore(a, db, fact));
   }
 }
 

@@ -9,6 +9,7 @@
 // exactly the series engine's error).
 
 #include <atomic>
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <utility>
@@ -27,6 +28,7 @@
 #include "shapcq/shapley/session.h"
 #include "shapcq/shapley/solver.h"
 #include "shapcq/shapley/brute_force.h"
+#include "shapcq/shapley/closed_forms.h"
 #include "shapcq/shapley/count_distinct.h"
 #include "shapcq/shapley/has_duplicates.h"
 #include "shapcq/shapley/min_max.h"
@@ -932,6 +934,128 @@ TEST(SumCountScoreAllShardingTest, FractionalWeightsIdenticalAcrossThreads) {
   ASSERT_EQ(reference->size(), sharded->size());
   for (size_t i = 0; i < reference->size(); ++i) {
     EXPECT_EQ((*reference)[i].second, (*sharded)[i].second);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// ClosedFormScoreAll (Props. 4.2, 4.4, 5.2 from one shared τ multiset)
+// ---------------------------------------------------------------------------
+
+struct ClosedFormCase {
+  const char* label;
+  AggregateFunction alpha;
+  std::function<StatusOr<Rational>(const AggregateQuery&, const Database&,
+                                   FactId)>
+      oracle;
+};
+
+std::vector<ClosedFormCase> ClosedFormCases() {
+  return {
+      {"count-distinct", AggregateFunction::CountDistinct(),
+       ClosedFormCountDistinct},
+      {"max", AggregateFunction::Max(), ClosedFormMax},
+      {"min", AggregateFunction::Min(), ClosedFormMin},
+      {"avg", AggregateFunction::Avg(), ClosedFormAvg},
+  };
+}
+
+// R(i, v_i) for i < n with v_i drawn from a small range, so τ = v ties;
+// with `tombstone`, one more fact is inserted and deleted in the middle of
+// the id space.
+Database SingleRelationDb(int n, uint64_t seed, bool tombstone) {
+  Database db;
+  uint64_t state = seed * 0x9e3779b97f4a7c15ULL + 1;
+  auto next_value = [&state]() {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    return static_cast<int64_t>((state >> 33) % 5) - 2;
+  };
+  for (int i = 0; i < n; ++i) {
+    db.AddEndogenous("R", {Value(i), Value(next_value())});
+    if (tombstone && i == n / 2) {
+      FactId doomed = db.AddEndogenous("R", {Value(100 + i), Value(9)});
+      SHAPCQ_CHECK(db.DeleteFact(doomed).ok());
+    }
+  }
+  return db;
+}
+
+TEST(ClosedFormScoreAllTest, MatchesPerFactClosedFormsAndBruteForce) {
+  ConjunctiveQuery q = MustParseQuery("Q(x, y) <- R(x, y)");
+  int checked = 0;
+  for (const ClosedFormCase& c : ClosedFormCases()) {
+    AggregateQuery a{q, MakeTauId(1), c.alpha};
+    for (int n : {1, 2, 5, 9}) {
+      for (uint64_t seed : {1, 2, 3}) {
+        for (bool tombstone : {false, true}) {
+          Database db = SingleRelationDb(n, seed, tombstone);
+          const std::string label = std::string(c.label) + " n " +
+                                    std::to_string(n) + " seed " +
+                                    std::to_string(seed) +
+                                    (tombstone ? " tombstone" : "");
+          auto batch = ClosedFormScoreAll(a, db, Options(ScoreKind::kShapley));
+          ASSERT_TRUE(batch.ok()) << label << ": "
+                                  << batch.status().ToString();
+          const std::vector<FactId> endo = db.EndogenousFacts();
+          ASSERT_EQ(batch->size(), endo.size()) << label;
+          for (size_t i = 0; i < endo.size(); ++i) {
+            EXPECT_EQ((*batch)[i].first, endo[i]) << label;
+            auto oracle = c.oracle(a, db, endo[i]);
+            ASSERT_TRUE(oracle.ok()) << label;
+            EXPECT_EQ((*batch)[i].second, *oracle)
+                << label << " fact " << endo[i];
+            EXPECT_EQ((*batch)[i].second, *BruteForceScore(a, db, endo[i]))
+                << label << " fact " << endo[i];
+            ++checked;
+          }
+          // The session serves the instance from the closed-form batch.
+          SolverSession session(a, db);
+          auto all = session.ComputeAll();
+          ASSERT_TRUE(all.ok()) << label;
+          for (size_t i = 0; i < all->size(); ++i) {
+            EXPECT_EQ((*all)[i].second.algorithm,
+                      "closed-form/single-relation")
+                << label;
+            EXPECT_EQ((*all)[i].second.exact, (*batch)[i].second) << label;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(checked, 4 * 3 * 2 * (1 + 2 + 5 + 9));
+}
+
+TEST(ClosedFormScoreAllTest, BanzhafFallsThroughToTheNextEngine) {
+  ConjunctiveQuery q = MustParseQuery("Q(x, y) <- R(x, y)");
+  // The engine after the closed forms in each chain.
+  const std::vector<std::string> next_engine = {
+      "count-distinct/boolean-reduction",
+      "min-max/all-hierarchical-dp",
+      "min-max/all-hierarchical-dp",
+      "avg-quantile/q-hierarchical-dp",
+  };
+  const std::vector<ClosedFormCase> cases = ClosedFormCases();
+  for (size_t c = 0; c < cases.size(); ++c) {
+    AggregateQuery a{q, MakeTauId(1), cases[c].alpha};
+    Database db = SingleRelationDb(6, 4, /*tombstone=*/true);
+    EXPECT_EQ(ClosedFormScoreAll(a, db, Options(ScoreKind::kBanzhaf))
+                  .status()
+                  .code(),
+              StatusCode::kUnsupported)
+        << cases[c].label;
+    SolverSession session(a, db);
+    SolverOptions banzhaf = Options(ScoreKind::kBanzhaf);
+    auto all = session.ComputeAll(banzhaf);
+    ASSERT_TRUE(all.ok()) << cases[c].label;
+    for (const auto& [fact, result] : *all) {
+      EXPECT_EQ(result.algorithm, next_engine[c]) << cases[c].label;
+      EXPECT_EQ(result.exact,
+                *BruteForceScore(a, db, fact, ScoreKind::kBanzhaf))
+          << cases[c].label << " fact " << fact;
+      auto per_fact = session.Compute(fact, banzhaf);
+      ASSERT_TRUE(per_fact.ok()) << cases[c].label;
+      EXPECT_EQ(per_fact->algorithm, next_engine[c]) << cases[c].label;
+      EXPECT_EQ(per_fact->exact, result.exact) << cases[c].label;
+    }
   }
 }
 

@@ -23,6 +23,7 @@
 #include "shapcq/query/evaluator.h"
 #include "shapcq/query/parser.h"
 #include "shapcq/shapley/brute_force.h"
+#include "shapcq/shapley/monte_carlo.h"
 #include "shapcq/shapley/plan.h"
 #include "shapcq/shapley/session.h"
 #include "shapcq/shapley/solver.h"
@@ -481,6 +482,42 @@ TEST(SolverSessionTest, TauPastHeadArityIsInvalidForEveryMethod) {
   }
   EXPECT_EQ(session.ComputeSumKSeries().status().code(),
             StatusCode::kInvalidArgument);
+}
+
+TEST(SolverSessionTest, FactsThatAreNotLiveAndEndogenousAreInvalid) {
+  // A tombstoned fact keeps its endogenous flag, so liveness is checked
+  // first; ids past the fact table and negative ids are refused too, on
+  // every method, before any engine or the sampler runs.
+  ConjunctiveQuery q = MustParseQuery("Q(x) <- R(x)");
+  Database db;
+  for (int i = 1; i <= 5; ++i) db.AddEndogenous("R", {Value(i)});
+  ASSERT_TRUE(db.DeleteFact(0).ok());
+  AggregateQuery a{q, MakeTauId(0), AggregateFunction::Sum()};
+  SolverSession session(a, db);
+  for (SolveMethod method :
+       {SolveMethod::kAuto, SolveMethod::kExactOnly, SolveMethod::kBruteForce,
+        SolveMethod::kMonteCarlo}) {
+    SolverOptions options;
+    options.method = method;
+    for (FactId fact : {FactId{0}, FactId{db.num_facts()}, FactId{-1}}) {
+      EXPECT_EQ(session.Compute(fact, options).status().code(),
+                StatusCode::kInvalidArgument)
+          << "method " << static_cast<int>(method) << " fact " << fact;
+    }
+    // Live facts still score.
+    EXPECT_TRUE(session.Compute(1, options).ok());
+  }
+  MonteCarloOptions mc;
+  mc.num_samples = 16;
+  for (FactId fact : {FactId{0}, FactId{db.num_facts()}, FactId{-1}}) {
+    EXPECT_EQ(MonteCarloShapley(a, db, fact, mc).status().code(),
+              StatusCode::kInvalidArgument)
+        << "fact " << fact;
+    EXPECT_EQ(MonteCarloBanzhaf(a, db, fact, mc).status().code(),
+              StatusCode::kInvalidArgument)
+        << "fact " << fact;
+  }
+  EXPECT_TRUE(MonteCarloShapley(a, db, 1, mc).ok());
 }
 
 TEST(SolverSessionTest, MonteCarloEstimatesCarrySeededConfidenceIntervals) {
