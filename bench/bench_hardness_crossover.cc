@@ -26,7 +26,7 @@
 #include "shapcq/agg/aggregate.h"
 #include "shapcq/agg/value_function.h"
 #include "shapcq/data/database.h"
-#include "shapcq/lineage/engine.h"
+#include "shapcq/engines/lineage_engine.h"
 #include "shapcq/query/parser.h"
 #include "shapcq/shapley/avg_quantile.h"
 #include "shapcq/shapley/brute_force.h"

@@ -1,9 +1,11 @@
 // The composition root of the engine layers: the manifest of built-in
 // engines behind EngineRegistry::Global(). It sits above shapley/ (the
-// frontier DPs and closed forms) and lineage/ (the knowledge-compilation
-// engine), so neither layer includes the other's engines.
+// frontier DPs, closed forms and group driver) and lineage/ (circuits,
+// their cache and lineage extraction), and holds the lineage-circuit
+// engine that joins the two (lineage_engine.h), so lineage/ includes
+// nothing from shapley/.
 
-#include "shapcq/lineage/engine.h"
+#include "shapcq/engines/lineage_engine.h"
 #include "shapcq/shapley/avg_quantile.h"
 #include "shapcq/shapley/closed_forms.h"
 #include "shapcq/shapley/count_distinct.h"

@@ -1,4 +1,4 @@
-#include "shapcq/lineage/engine.h"
+#include "shapcq/engines/lineage_engine.h"
 
 #include <string>
 #include <utility>

@@ -1,10 +1,14 @@
-// Exact brute-force Shapley/Banzhaf computation (ground truth).
-//
-// Works for ANY aggregate query (any τ, any α, self-joins allowed) by
-// enumerating subsets of the endogenous facts. Exponential in |D_n|;
-// intended for testing and for the hardness-side benchmarks. The engine
-// precomputes the homomorphism structure once (SubsetEvaluator) so that the
-// per-subset evaluation is a cheap mask check.
+// Exact brute-force Shapley/Banzhaf (ground truth) for ANY aggregate query
+// (any τ, any α, self-joins allowed) by enumerating subsets of the
+// endogenous facts: exponential in |D_n|, for tests, hardness-side
+// benchmarks and kAuto's fallback. One sweep evaluates each subset once and
+// keeps per-size sums (Bienvenu et al., *When is Shapley Value Computation
+// a Matter of Counting?*): sum_k, and per tracked fact the sums over the
+// subsets that hold it, from which its score follows in closed form. Memory
+// is O(threads·n²) Rationals, never O(2^n). Subsets run in fixed chunks
+// over options.num_threads workers, bitwise-identical at every thread
+// count; options.cancelled is polled before every chunk, and a fired hook
+// fails the call whole with kDeadlineExceeded.
 
 #ifndef SHAPCQ_SHAPLEY_BRUTE_FORCE_H_
 #define SHAPCQ_SHAPLEY_BRUTE_FORCE_H_
@@ -20,35 +24,26 @@
 
 namespace shapcq {
 
-// Largest |D_n| the brute-force engines accept. Past this horizon the
-// session either solves exactly through the lineage-circuit engine (Sum,
-// Count, CountDistinct, Max or Min with compilable provenance,
-// lineage/engine.h) or samples; under kExactOnly it returns a structured
-// status naming this limit, the player count, and the engines consulted
-// (session.h).
+// Largest |D_n| accepted. Past it the session solves through the
+// lineage-circuit engine (engines/lineage_engine.h) or samples.
 inline constexpr int kBruteForceMaxPlayers = 26;
 
-// sum_k(A, D) by subset enumeration.
+// sum_k(A, D): the sweep tracking no fact.
 StatusOr<SumKSeries> BruteForceSumK(const AggregateQuery& a,
                                     const Database& db,
                                     const SolverOptions& options = {});
 
-// Score of one fact by direct subset enumeration of D_n \ {f} (uses a single
-// homomorphism precomputation, so cheaper than two BruteForceSumK calls).
+// Score of one fact (the sweep tracks it alone); reads num_threads and
+// cancelled from `options`.
 StatusOr<Rational> BruteForceScore(const AggregateQuery& a, const Database& db,
                                    FactId fact,
-                                   ScoreKind kind = ScoreKind::kShapley);
+                                   ScoreKind kind = ScoreKind::kShapley,
+                                   const SolverOptions& options = {});
 
-// Scores of all endogenous facts in one subset sweep.
+// options.score of every endogenous fact, ascending, from one sweep.
 StatusOr<std::vector<std::pair<FactId, Rational>>> BruteForceScoreAll(
     const AggregateQuery& a, const Database& db,
-    ScoreKind kind = ScoreKind::kShapley);
-
-// Shapley value straight from the permutation definition (O(n!)); used to
-// cross-validate the subset formula on tiny instances. Requires |D_n| <= 9.
-StatusOr<Rational> BruteForceShapleyByPermutations(const AggregateQuery& a,
-                                                   const Database& db,
-                                                   FactId fact);
+    const SolverOptions& options = {});
 
 }  // namespace shapcq
 

@@ -154,7 +154,7 @@ StatusOr<SolveResult> SolverSession::Compute(FactId fact,
     }
     case SolveMethod::kBruteForce: {
       StatusOr<Rational> score =
-          BruteForceScore(a(), db_, fact, options.score);
+          BruteForceScore(a(), db_, fact, options.score, options);
       if (!score.ok()) return score.status();
       return ExactResult(std::move(score).value(), "brute-force");
     }
@@ -259,7 +259,7 @@ SolverSession::ExactAll(const SolverOptions& options) const {
 StatusOr<std::vector<std::pair<FactId, SolveResult>>>
 SolverSession::BruteForceAll(const SolverOptions& options) const {
   StatusOr<std::vector<std::pair<FactId, Rational>>> scores =
-      BruteForceScoreAll(a(), db_, options.score);
+      BruteForceScoreAll(a(), db_, options);
   if (!scores.ok()) return scores.status();
   std::vector<std::pair<FactId, SolveResult>> results;
   results.reserve(scores->size());

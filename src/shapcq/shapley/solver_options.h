@@ -66,7 +66,8 @@ struct SolverOptions {
   LineageOptions lineage;
   // Worker threads for the engine batches — the groups of the group driver
   // (linearity.h), the facts of the fact-level driver (score.h), the blocks
-  // of the block sweeps — and for the Monte Carlo sample blocks; < 1 means
+  // of the block sweeps — for the mask chunks of the brute-force sweep
+  // (brute_force.h) and for the Monte Carlo sample blocks; < 1 means
   // hardware concurrency. Exact results are bitwise-identical regardless
   // of the thread count.
   int num_threads = 0;
@@ -76,12 +77,15 @@ struct SolverOptions {
   // brute-force/Monte-Carlo fallback — and both batch drivers poll it from
   // their workers: the group driver (ScoreGroupsByLinearity, linearity.h)
   // before every group and the fact-level scorer (ScoreFactsByIdentity,
-  // score.h) before every fact, so the hook must be thread-safe. A true
-  // return makes the call fail with StatusCode::kDeadlineExceeded instead
-  // of starting the next phase; a cancelled batch is abandoned whole (it
-  // never triggers an engine's budget fallback), so results that do
-  // complete stay bitwise-deterministic. The full-database DP run that
-  // precedes a fact-level batch is not polled. Null means never cancelled.
+  // score.h) before every fact. So does the brute-force sweep
+  // (brute_force.h) before every chunk of 2^8 masks, whichever way it is
+  // reached (kBruteForce, kAuto's fallback, ComputeSumKSeries). The hook
+  // must be thread-safe. A true return makes the call fail with
+  // StatusCode::kDeadlineExceeded instead of starting the next phase; a
+  // cancelled batch is abandoned whole (it never triggers an engine's
+  // budget fallback), so results that do complete stay
+  // bitwise-deterministic. The full-database DP run that precedes a
+  // fact-level batch is not polled. Null means never cancelled.
   std::function<bool()> cancelled;
   // Optional per-request trace sink (obs/trace.h). Borrowed, not owned,
   // and NOT thread-safe: span sites record on the calling thread only —

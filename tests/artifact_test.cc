@@ -22,8 +22,8 @@
 #include "shapcq/agg/aggregate.h"
 #include "shapcq/agg/value_function.h"
 #include "shapcq/data/database.h"
+#include "shapcq/engines/lineage_engine.h"
 #include "shapcq/lineage/circuit_cache.h"
-#include "shapcq/lineage/engine.h"
 #include "shapcq/persist/artifact.h"
 #include "shapcq/query/parser.h"
 #include "shapcq/shapley/plan.h"

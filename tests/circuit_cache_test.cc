@@ -16,9 +16,9 @@
 #include "shapcq/agg/aggregate.h"
 #include "shapcq/agg/value_function.h"
 #include "shapcq/data/database.h"
+#include "shapcq/engines/lineage_engine.h"
 #include "shapcq/lineage/circuit.h"
 #include "shapcq/lineage/circuit_cache.h"
-#include "shapcq/lineage/engine.h"
 #include "shapcq/query/parser.h"
 #include "shapcq/shapley/solver_options.h"
 #include "shapcq/util/combinatorics.h"

@@ -26,8 +26,8 @@
 #include "shapcq/agg/aggregate.h"
 #include "shapcq/agg/value_function.h"
 #include "shapcq/data/database.h"
+#include "shapcq/engines/lineage_engine.h"
 #include "shapcq/hierarchy/classification.h"
-#include "shapcq/lineage/engine.h"
 #include "shapcq/lineage/stats.h"
 #include "shapcq/query/decomposition.h"
 #include "shapcq/query/evaluator.h"

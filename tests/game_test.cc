@@ -2,16 +2,22 @@
 // used throughout the game-theory literature and the Set-Cover game of
 // Lemma D.5 (tied back to the quantile reduction database).
 
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "shapcq/agg/aggregate.h"
 #include "shapcq/agg/value_function.h"
+#include "shapcq/query/evaluator.h"
 #include "shapcq/query/parser.h"
 #include "shapcq/shapley/brute_force.h"
-#include "tests/cooperative_game.h"
+#include "shapcq/shapley/score.h"
+#include "shapcq/shapley/solver_options.h"
 #include "shapcq/workload/generators.h"
+#include "tests/cooperative_game.h"
+#include "tests/permutation_shapley.h"
 
 namespace shapcq {
 namespace {
@@ -110,6 +116,83 @@ TEST(GameTest, AllScoresAndSizeLimit) {
   EXPECT_EQ((*scores)[1], R(1));
   CooperativeGame big(27, [](uint64_t) { return R(0); });
   EXPECT_FALSE(big.Score(0).ok());
+
+  // The brute-force sweep (shapley/brute_force.h) against the game over
+  // the same coalition values A(S ∪ D_x), and up to 9 players against the
+  // permutation definition: every aggregate, a self-join and a tombstoned
+  // fact. Each query gets one database inside a single chunk of 2^8 masks
+  // and one spanning several (n = 5 and 10 for xyy, 6 and 11 for the
+  // self-join).
+  const std::vector<AggregateFunction> aggregates = {
+      AggregateFunction::Sum(),
+      AggregateFunction::Count(),
+      AggregateFunction::CountDistinct(),
+      AggregateFunction::Min(),
+      AggregateFunction::Max(),
+      AggregateFunction::Avg(),
+      AggregateFunction::Median(),
+      AggregateFunction::Quantile(R(1, 3)),
+      AggregateFunction::HasDuplicates()};
+  const std::vector<std::pair<const char*, int>> inputs = {
+      {"Q(x) <- R(x, y), S(y)", 4},
+      {"Q(x) <- R(x, y), S(y)", 6},
+      {"Q(x, z) <- R(x, y), R(y, z)", 8},
+      {"Q(x, z) <- R(x, y), R(y, z)", 12}};
+  for (const auto& [text, facts] : inputs) {
+    const ConjunctiveQuery q = MustParseQuery(text);
+    RandomDatabaseOptions db_options;
+    db_options.facts_per_relation = facts;
+    db_options.domain_size = facts;
+    db_options.endogenous_percent = 90;
+    db_options.seed = static_cast<uint64_t>(facts);
+    Database db = RandomDatabaseForQuery(q, db_options);
+    ASSERT_TRUE(db.DeleteFact(db.EndogenousFacts().front()).ok());
+    const SubsetEvaluator evaluator(q, db);
+    const int n = evaluator.num_players();
+    ASSERT_LE(n, 12) << text;
+    for (const AggregateFunction& alpha : aggregates) {
+      for (const ValueFunctionPtr& tau : {MakeTauId(0), MakeTauReLU(0)}) {
+        const AggregateQuery a{q, tau, alpha};
+        std::vector<Rational> values;
+        for (uint64_t mask = 0; mask < (uint64_t{1} << n); ++mask) {
+          values.push_back(a.EvaluateOnAnswers(evaluator.AnswersFor(mask)));
+        }
+        const CooperativeGame game(n, [&](uint64_t mask) {
+          return values[static_cast<size_t>(mask)];
+        });
+        for (ScoreKind kind : {ScoreKind::kShapley, ScoreKind::kBanzhaf}) {
+          SolverOptions options;
+          options.score = kind;
+          options.num_threads = 8;
+          const auto expected = game.AllScores(kind);
+          const auto all = BruteForceScoreAll(a, db, options);
+          options.num_threads = 1;
+          ASSERT_TRUE(expected.ok());
+          ASSERT_TRUE(all.ok()) << all.status().ToString();
+          ASSERT_EQ(all->size(), static_cast<size_t>(n));
+          for (int p = 0; p < n; ++p) {
+            const FactId f = evaluator.PlayerFact(p);
+            const Rational& truth = (*expected)[static_cast<size_t>(p)];
+            const std::string label = a.ToString() + " " +
+                                      db.fact(f).ToString() + " n=" +
+                                      std::to_string(n);
+            EXPECT_EQ((*all)[static_cast<size_t>(p)].first, f);
+            EXPECT_EQ((*all)[static_cast<size_t>(p)].second, truth)
+                << label;
+            EXPECT_EQ(*BruteForceScore(a, db, f, kind, options), truth)
+                << label;
+            EXPECT_EQ(*ScoreViaSumK(a, db, f, BruteForceSumK, options),
+                      truth)
+                << label;
+            if (kind == ScoreKind::kShapley && n <= 9) {
+              EXPECT_EQ(*BruteForceShapleyByPermutations(a, db, f), truth)
+                  << label;
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

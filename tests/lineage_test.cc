@@ -22,10 +22,10 @@
 #include "shapcq/agg/aggregate.h"
 #include "shapcq/agg/value_function.h"
 #include "shapcq/data/database.h"
+#include "shapcq/engines/lineage_engine.h"
 #include "shapcq/hierarchy/classification.h"
 #include "shapcq/lineage/circuit.h"
 #include "shapcq/lineage/circuit_cache.h"
-#include "shapcq/lineage/engine.h"
 #include "shapcq/lineage/lineage.h"
 #include "shapcq/query/parser.h"
 #include "shapcq/shapley/brute_force.h"
@@ -193,7 +193,7 @@ void ExpectMatchesBruteForce(const AggregateQuery& a, const Database& db,
                              const std::string& label) {
   ASSERT_LE(db.num_endogenous(), kBruteForceMaxPlayers) << label;
   for (ScoreKind kind : {ScoreKind::kShapley, ScoreKind::kBanzhaf}) {
-    auto brute = BruteForceScoreAll(a, db, kind);
+    auto brute = BruteForceScoreAll(a, db, Options(kind));
     ASSERT_TRUE(brute.ok()) << label;
     for (int threads : {1, 2, 8}) {
       auto circuit = LineageCircuitScoreAll(a, db, Options(kind, threads));

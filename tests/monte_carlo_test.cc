@@ -79,7 +79,9 @@ TEST(MonteCarloCoverageTest, EstimatesCoverBruteForceForEveryAggregate) {
         const MonteCarloGame game(a, db);
         for (ScoreKind kind : {ScoreKind::kShapley, ScoreKind::kBanzhaf}) {
           options.seed = seed;
-          auto exact = BruteForceScoreAll(a, db, kind);
+          SolverOptions exact_options;
+          exact_options.score = kind;
+          auto exact = BruteForceScoreAll(a, db, exact_options);
           ASSERT_TRUE(exact.ok());
           auto estimates = game.Estimate(kind, options);
           ASSERT_TRUE(estimates.ok());

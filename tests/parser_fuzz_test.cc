@@ -29,8 +29,8 @@
 #include "shapcq/agg/value_function.h"
 #include "shapcq/data/database.h"
 #include "shapcq/data/db_io.h"
+#include "shapcq/engines/lineage_engine.h"
 #include "shapcq/lineage/circuit_cache.h"
-#include "shapcq/lineage/engine.h"
 #include "shapcq/persist/artifact.h"
 #include "shapcq/query/parser.h"
 #include "shapcq/serve/journal.h"

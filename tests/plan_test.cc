@@ -386,7 +386,7 @@ TEST(PlanCacheTest, WarmAndColdComputeAllAreBitwiseIdentical) {
 // them.
 StatusOr<std::vector<std::pair<FactId, Rational>>> BruteForceBatch(
     const AggregateQuery& a, const Database& db, const SolverOptions& options) {
-  return BruteForceScoreAll(a, db, options.score);
+  return BruteForceScoreAll(a, db, options);
 }
 
 // A provider whose batch always fails, first in the chain for queries over

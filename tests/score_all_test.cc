@@ -128,7 +128,7 @@ TEST(MinMaxScoreAllTest, MatchesBruteForceOnSmallInstance) {
        {AggregateFunction::Min(), AggregateFunction::Max()}) {
     AggregateQuery a{q, MakeTauId(0), alpha};
     auto batched = MinMaxScoreAll(a, db, Options(ScoreKind::kShapley));
-    auto oracle = BruteForceScoreAll(a, db, ScoreKind::kShapley);
+    auto oracle = BruteForceScoreAll(a, db, Options(ScoreKind::kShapley));
     ASSERT_TRUE(batched.ok()) << batched.status().ToString();
     ASSERT_TRUE(oracle.ok());
     ASSERT_EQ(batched->size(), oracle->size());
@@ -728,6 +728,57 @@ TEST(BlockSweepTest, CancellationInsideTheBlockPassFailsTheWholeBatch) {
       ASSERT_TRUE(plain.ok()) << plain.status().ToString();
       ASSERT_TRUE(hooked.ok()) << hooked.status().ToString();
       EXPECT_EQ(*hooked, *plain) << a.ToString() << " threads=" << threads;
+    }
+  }
+}
+
+// The brute-force sweep polls before each of its 2^(12−8) = 16 mask
+// chunks, so a hook that fires at its third poll fails every entry point
+// and the session's kBruteForce path whole, at 1 and 8 threads. An unfired
+// hook and the thread count leave every score bitwise-unchanged.
+TEST(BruteForceSweepTest, CancellationInsideTheSweepFailsTheWholeCall) {
+  Database db;
+  for (int64_t x = 1; x <= 4; ++x) {
+    db.AddEndogenous("R", {Value(x), Value(x + 10)});
+    db.AddEndogenous("R", {Value(x), Value(x + 20)});
+    db.AddEndogenous("S", {Value(x + 10)});
+  }
+  ASSERT_EQ(db.num_endogenous(), 12);
+  const AggregateQuery a{MustParseQuery("Q(x) <- R(x, y), S(y)"),
+                         MakeTauReLU(0), AggregateFunction::Avg()};
+  for (int threads : {1, 8}) {
+    std::atomic<int> polls{0};
+    SolverOptions fired = Options(ScoreKind::kShapley, threads);
+    fired.cancelled = [&polls] { return polls.fetch_add(1) + 1 >= 3; };
+    auto expect_fired = [&](const Status& status, const char* call) {
+      EXPECT_EQ(status.code(), StatusCode::kDeadlineExceeded)
+          << call << " threads=" << threads;
+      if (threads == 1) {
+        EXPECT_EQ(polls.load(), 3) << call;
+      }
+      polls = 0;
+    };
+    expect_fired(BruteForceScoreAll(a, db, fired).status(), "ScoreAll");
+    expect_fired(BruteForceScore(a, db, 0, ScoreKind::kShapley, fired).status(),
+                 "Score");
+    expect_fired(BruteForceSumK(a, db, fired).status(), "SumK");
+    fired.method = SolveMethod::kBruteForce;
+    SolverSession session(a, db);
+    expect_fired(session.ComputeAll(fired).status(), "ComputeAll");
+
+    for (ScoreKind kind : {ScoreKind::kShapley, ScoreKind::kBanzhaf}) {
+      auto serial = BruteForceScoreAll(a, db, Options(kind, 1));
+      auto plain = BruteForceScoreAll(a, db, Options(kind, threads));
+      SolverOptions unfired = Options(kind, threads);
+      unfired.cancelled = [] { return false; };
+      auto hooked = BruteForceScoreAll(a, db, unfired);
+      ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+      ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+      ASSERT_TRUE(hooked.ok()) << hooked.status().ToString();
+      EXPECT_EQ(*plain, *serial) << "threads=" << threads;
+      EXPECT_EQ(*hooked, *plain) << "threads=" << threads;
+      EXPECT_EQ(*BruteForceSumK(a, db, unfired),
+                *BruteForceSumK(a, db, Options(kind, 1)));
     }
   }
 }

@@ -327,7 +327,7 @@ TEST(SumCountScoreAllTest, AgreesWithBruteForceSweep) {
       SolverOptions batch_options;
       batch_options.score = kind;
       auto batched = SumCountScoreAll(a, db, batch_options);
-      auto oracle = BruteForceScoreAll(a, db, kind);
+      auto oracle = BruteForceScoreAll(a, db, batch_options);
       ASSERT_TRUE(batched.ok()) << batched.status().ToString();
       ASSERT_TRUE(oracle.ok());
       ASSERT_EQ(batched->size(), oracle->size());

@@ -15,6 +15,7 @@
 #include "shapcq/shapley/score.h"
 #include "shapcq/shapley/sum_count.h"
 #include "shapcq/workload/generators.h"
+#include "tests/permutation_shapley.h"
 
 namespace shapcq {
 namespace {

@@ -1,23 +1,84 @@
-#include "shapcq/workload/transfer.h"
+// Query-transfer constructions from the paper's reductions.
+//
+// * TransferQxyy (Lemma 5.3 / Lemma D.1): embeds an input database of
+//   Q_xyy(x) <- R(x, y), S(y) into an input database of ANY self-join-free
+//   CQ Q0 that is all-hierarchical but not q-hierarchical, preserving the
+//   Shapley value of every endogenous fact (same aggregate, value function
+//   lifted through the head position of Q0's dominated free variable).
+//
+// * TransferQxyyFull (Lemma E.4): the analogous embedding of
+//   Q^full_xyy(x, y) <- R(x, y), S(y) into any self-join-free CQ that is
+//   q-hierarchical but not sq-hierarchical.
+//
+// These are the paper's tools for propagating hardness from the two
+// minimal queries to entire classes; here they are strong numeric tests
+// (Shapley values must be preserved exactly).
+//
+// * ApplyMonotoneMap (Observation F.3 / Theorem 7.1): rewrites a database
+//   so that the value function γ ∘ τ_id^i becomes τ_id^i — the mechanism
+//   behind "hardness is robust to monotone changes of the value function".
+
+#ifndef SHAPCQ_TESTS_TRANSFER_H_
+#define SHAPCQ_TESTS_TRANSFER_H_
 
 #include <algorithm>
+#include <functional>
 #include <set>
 #include <string>
 #include <utility>
+#include <vector>
 
+#include "shapcq/agg/value_function.h"
+#include "shapcq/data/database.h"
 #include "shapcq/hierarchy/classification.h"
+#include "shapcq/query/cq.h"
 #include "shapcq/util/check.h"
+#include "shapcq/util/status.h"
 
 namespace shapcq {
 
-namespace {
+struct TransferResult {
+  Database d0;
+  // Maps each fact id of the source database to its image in d0
+  // (the bijection h of Lemma D.1 on endogenous facts; exogenous facts are
+  // mapped too). -1 for facts of relations other than R/S.
+  std::vector<FactId> fact_map;
+  // The lifted value function τ0 of the lemma.
+  ValueFunctionPtr tau0;
+};
+
+// Lemma 5.3: requires q0 self-join-free, all-hierarchical, NOT
+// q-hierarchical; `db` over relations R (binary) and S (unary); `tau` over
+// arity-1 answers of Q_xyy.
+StatusOr<TransferResult> TransferQxyy(const ConjunctiveQuery& q0,
+                                      const Database& db,
+                                      ValueFunctionPtr tau);
+
+// Lemma E.4: requires q0 self-join-free, q-hierarchical, NOT
+// sq-hierarchical; `tau` over arity-2 answers of Q^full_xyy.
+StatusOr<TransferResult> TransferQxyyFull(const ConjunctiveQuery& q0,
+                                          const Database& db,
+                                          ValueFunctionPtr tau);
+
+// Observation F.3: returns the database π(D) in which, for every atom of
+// `q` and every position where the `head_index`-th head variable occurs,
+// the value v is replaced by gamma(v). Endogenous/exogenous flags carry
+// over; `fact_map`, if non-null, receives the fact bijection. `gamma` must
+// be injective on the values that occur (duplicate collapses abort).
+Database ApplyMonotoneMap(const ConjunctiveQuery& q, int head_index,
+                          const std::function<Value(const Value&)>& gamma,
+                          const Database& db,
+                          std::vector<FactId>* fact_map = nullptr);
+
+namespace transfer_internal {
 
 // The filler constant "c" of Lemma D.1 (outside the generated domains).
-const char* kFiller = "__c";
+inline const char* const kFiller = "__c";
 
 // Instantiates an atom: x0 -> a, y0 -> b, every other variable -> filler.
-Tuple Instantiate(const Atom& atom, const std::string& x0, const Value& a,
-                  const std::string& y0, const Value& b) {
+inline Tuple Instantiate(const Atom& atom, const std::string& x0,
+                         const Value& a, const std::string& y0,
+                         const Value& b) {
   Tuple args;
   args.reserve(atom.terms.size());
   for (const Term& term : atom.terms) {
@@ -37,12 +98,12 @@ Tuple Instantiate(const Atom& atom, const std::string& x0, const Value& a,
 // Shared construction of Lemma D.1 / Lemma E.4: given the variable pair
 // (x0, y0) with atoms(x0) ⊊ atoms(y0), builds D0 from a Q_xyy-style
 // database over R (binary, columns x/y) and S (unary, column y).
-StatusOr<TransferResult> BuildTransfer(const ConjunctiveQuery& q0,
-                                       const Database& db,
-                                       const std::string& x0,
-                                       const std::string& y0,
-                                       ValueFunctionPtr tau,
-                                       bool tau_takes_pair) {
+inline StatusOr<TransferResult> BuildTransfer(const ConjunctiveQuery& q0,
+                                              const Database& db,
+                                              const std::string& x0,
+                                              const std::string& y0,
+                                              ValueFunctionPtr tau,
+                                              bool tau_takes_pair) {
   // φ_R: an atom containing x0 (hence y0); φ_S: an atom with y0 but not x0.
   int phi_r = -1;
   int phi_s = -1;
@@ -132,11 +193,11 @@ StatusOr<TransferResult> BuildTransfer(const ConjunctiveQuery& q0,
   return result;
 }
 
-}  // namespace
+}  // namespace transfer_internal
 
-StatusOr<TransferResult> TransferQxyy(const ConjunctiveQuery& q0,
-                                      const Database& db,
-                                      ValueFunctionPtr tau) {
+inline StatusOr<TransferResult> TransferQxyy(const ConjunctiveQuery& q0,
+                                             const Database& db,
+                                             ValueFunctionPtr tau) {
   if (q0.HasSelfJoin() || !IsAllHierarchical(q0) || IsQHierarchical(q0)) {
     return UnsupportedError(
         "Lemma 5.3 transfer requires a self-join-free CQ that is "
@@ -151,17 +212,18 @@ StatusOr<TransferResult> TransferQxyy(const ConjunctiveQuery& q0,
       if (atoms_x.size() < atoms_y.size() &&
           std::includes(atoms_y.begin(), atoms_y.end(), atoms_x.begin(),
                         atoms_x.end())) {
-        return BuildTransfer(q0, db, x0, y0, std::move(tau),
-                             /*tau_takes_pair=*/false);
+        return transfer_internal::BuildTransfer(q0, db, x0, y0,
+                                                std::move(tau),
+                                                /*tau_takes_pair=*/false);
       }
     }
   }
   return InternalError("no q-hierarchy violation found despite class check");
 }
 
-StatusOr<TransferResult> TransferQxyyFull(const ConjunctiveQuery& q0,
-                                          const Database& db,
-                                          ValueFunctionPtr tau) {
+inline StatusOr<TransferResult> TransferQxyyFull(const ConjunctiveQuery& q0,
+                                                 const Database& db,
+                                                 ValueFunctionPtr tau) {
   if (q0.HasSelfJoin() || !IsQHierarchical(q0) || IsSqHierarchical(q0)) {
     return UnsupportedError(
         "Lemma E.4 transfer requires a self-join-free CQ that is "
@@ -177,17 +239,19 @@ StatusOr<TransferResult> TransferQxyyFull(const ConjunctiveQuery& q0,
           std::includes(atoms_y.begin(), atoms_y.end(), atoms_x.begin(),
                         atoms_x.end())) {
         SHAPCQ_CHECK(q0.IsFreeVariable(y0));
-        return BuildTransfer(q0, db, x0, y0, std::move(tau),
-                             /*tau_takes_pair=*/true);
+        return transfer_internal::BuildTransfer(q0, db, x0, y0,
+                                                std::move(tau),
+                                                /*tau_takes_pair=*/true);
       }
     }
   }
   return InternalError("no sq-hierarchy violation found despite class check");
 }
 
-Database ApplyMonotoneMap(const ConjunctiveQuery& q, int head_index,
-                          const std::function<Value(const Value&)>& gamma,
-                          const Database& db, std::vector<FactId>* fact_map) {
+inline Database ApplyMonotoneMap(
+    const ConjunctiveQuery& q, int head_index,
+    const std::function<Value(const Value&)>& gamma, const Database& db,
+    std::vector<FactId>* fact_map) {
   SHAPCQ_CHECK(head_index >= 0 && head_index < q.arity());
   const std::string& variable = q.head()[static_cast<size_t>(head_index)];
   Database out;
@@ -219,3 +283,5 @@ Database ApplyMonotoneMap(const ConjunctiveQuery& q, int head_index,
 }
 
 }  // namespace shapcq
+
+#endif  // SHAPCQ_TESTS_TRANSFER_H_

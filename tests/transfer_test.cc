@@ -18,7 +18,7 @@
 #include "shapcq/shapley/brute_force.h"
 #include "shapcq/workload/generators.h"
 #include "shapcq/workload/random_query.h"
-#include "shapcq/workload/transfer.h"
+#include "tests/transfer.h"
 
 namespace shapcq {
 namespace {
