@@ -1,13 +1,16 @@
-// All-facts attribution throughput: per-fact Compute loop vs. the batched
-// SolverSession::ComputeAll, on generated Sum, Max, Min, CountDistinct,
-// HasDuplicates, Avg and Median workloads. Sum, Max, Min and CountDistinct
-// batch through the group driver on lineage circuits (shapley/linearity.h)
-// while their per-fact path runs the frontier DP's sum_k, so this checks
-// the circuits against the DPs. HasDuplicates, Avg and Median batch
-// through their engines' block-local fact sweeps (each fact re-solves only
-// its own top-level block next to the fold of the others), so this also
-// checks those sweeps against the per-fact sum_k path. The HasDuplicates
-// head repeats τ-values, so its scores are not all zero.
+// All-facts attribution throughput: the batched SolverSession::ComputeAll
+// vs. a per-fact loop, on generated Sum, Max, Min, CountDistinct,
+// HasDuplicates, Avg and Median workloads. The per-fact loop scores each
+// fact alone with the engine its batched row names
+// (tests/per_fact_reference.h: ScoreViaSumK over that engine's sum_k).
+// Sum, Max, Min and CountDistinct batch through the group driver on
+// lineage circuits (shapley/linearity.h) while the per-fact reference runs
+// the frontier DP's sum_k, so this checks the circuits against the DPs.
+// HasDuplicates, Avg and Median batch through their engines' block-local
+// fact sweeps (each fact re-solves only its own top-level block next to
+// the fold of the others), so this also checks those sweeps against the
+// per-fact sum_k path. The HasDuplicates head repeats τ-values, so its
+// scores are not all zero.
 //
 // This is the acceptance benchmark for the batched engine scorers:
 // ComputeAll must produce bitwise-identical Rational scores while sharing
@@ -40,6 +43,7 @@
 #include "shapcq/shapley/session.h"
 #include "shapcq/shapley/solver.h"
 #include "shapcq/workload/generators.h"
+#include "tests/per_fact_reference.h"
 
 using namespace shapcq;  // NOLINT: benchmark brevity
 
@@ -79,21 +83,23 @@ bool RunWorkload(const char* label, const AggregateQuery& a,
   std::printf("batched ComputeAll  : %10.1f ms  (%.1f facts/s)\n", batched_ms,
               1000.0 * n / batched_ms);
 
-  // Per-fact: the pre-session code path — every fact rebuilds everything.
+  // Per-fact: each fact scored alone by the engine its batched row names —
+  // every fact rebuilds everything.
   std::vector<std::pair<FactId, SolveResult>> per_fact;
   per_fact.reserve(facts.size());
   double per_fact_ms = bench::TimeMs([&] {
-    for (FactId fact : facts) {
-      auto result = solver.Compute(db, fact);
+    for (const auto& [fact, row] : batched) {
+      auto result = PerFactReference(a, db, fact, row.algorithm, one_thread);
       if (!result.ok()) {
-        std::fprintf(stderr, "Compute failed: %s\n",
+        std::fprintf(stderr, "per-fact %s failed: %s\n",
+                     row.algorithm.c_str(),
                      result.status().ToString().c_str());
         std::exit(1);
       }
       per_fact.emplace_back(fact, std::move(result).value());
     }
   });
-  std::printf("per-fact Compute    : %10.1f ms  (%.1f facts/s)\n", per_fact_ms,
+  std::printf("per-fact reference  : %10.1f ms  (%.1f facts/s)\n", per_fact_ms,
               1000.0 * n / per_fact_ms);
 
   // Bitwise equality of the exact rational scores.

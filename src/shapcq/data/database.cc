@@ -120,10 +120,9 @@ void Database::SetEndogenous(FactId id, bool endogenous) {
   if (f.endogenous == endogenous) return;
   f.endogenous = endogenous;
   num_endogenous_ += endogenous ? 1 : -1;
-  // The partition change is a semantic change: a StreamingSolver watching
-  // this database via epoch() must see its cached contributions (keyed on
-  // the endogenous player set) as stale. A no-op flip above returns
-  // without bumping.
+  // The partition change is a semantic change: anything cached against
+  // epoch() (keyed on the endogenous player set) must see itself as stale.
+  // A no-op flip above returns without bumping.
   ++epoch_;
 }
 

@@ -78,7 +78,7 @@ class Database {
     return AddFact(relation, std::move(args), /*endogenous=*/false);
   }
 
-  // --- Streaming mutation API ---------------------------------------------
+  // --- Mutation API -------------------------------------------------------
   //
   // FactIds are assigned in ascending order and NEVER reused: an insert
   // always appends past every id ever issued, so posting lists stay sorted
@@ -104,9 +104,8 @@ class Database {
 
   // Monotonic mutation counter: bumped by AddFact/InsertFact/DeleteFact/
   // CompactTombstones, and by SetEndogenous when it actually flips a flag
-  // (the endogenous partition is part of the semantic state a
-  // StreamingSolver keys its cached contributions on). Equal epochs on
-  // the same object imply identical contents.
+  // (the endogenous partition is part of the semantic state every score
+  // depends on). Equal epochs on the same object imply identical contents.
   uint64_t epoch() const { return epoch_; }
   // False for tombstoned ids (forever, even after compaction).
   bool live(FactId id) const {

@@ -52,9 +52,8 @@ StatusOr<std::vector<std::pair<FactId, Rational>>> LineageCircuitScoreAll(
     const AggregateQuery& a, const Database& db, const SolverOptions& options);
 
 // sum_k(A, D) = Σ_g w_g · (group g's circuit model counts), each padded to
-// the full player universe with binomials. Powers per-fact Compute
-// (through ScoreViaSumK) and ComputeSumKSeries (and the CLI's --expected)
-// past the brute-force horizon. Compiles under the
+// the full player universe with binomials. Powers ComputeSumKSeries (and
+// the CLI's --expected) past the brute-force horizon. Compiles under the
 // options.lineage budget — SolverOptions flows through the SumKEngine
 // signature, so a customized budget applies here exactly as it does on
 // the scoring paths.

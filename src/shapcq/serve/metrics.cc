@@ -219,7 +219,7 @@ std::string RenderPrometheus(const DaemonMetrics& metrics,
           "journal append failures (requests served but not journaled)",
           metrics.journal_errors.load(std::memory_order_relaxed));
 
-  // Streaming mutation path.
+  // Mutation path.
   Line(&out, "# HELP shapcq_mutations_total applied fact mutations by op");
   Line(&out, "# TYPE shapcq_mutations_total counter");
   Line(&out, "shapcq_mutations_total{op=\"insert\"} %" PRIu64,

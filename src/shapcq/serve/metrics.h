@@ -45,7 +45,7 @@ class DaemonMetrics {
   // trace. Nonzero here means the journal cannot prove parity.
   std::atomic<uint64_t> journal_errors{0};
 
-  // Streaming mutation path (insert_fact / delete_fact ops).
+  // Mutation path (insert_fact / delete_fact ops).
   std::atomic<uint64_t> mutations_insert{0};
   std::atomic<uint64_t> mutations_delete{0};
   std::atomic<uint64_t> mutation_errors{0};

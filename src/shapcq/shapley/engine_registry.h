@@ -43,8 +43,8 @@ namespace shapcq {
 // returns one entry per endogenous fact, ascending by FactId, or fails, and
 // SolverSession then moves every fact to the next engine. When the
 // provider also has a sum_k, the values must be the per-fact ScoreViaSumK
-// values and the batch must fail exactly where they fail, so ComputeAll
-// and per-fact Compute agree. Receives the session's SolverOptions:
+// values (the reference the tests hold every batch to). Receives the
+// session's SolverOptions:
 // options.score selects the score kind, resource-budgeted engines
 // (lineage-circuit) read their budgets from it, and the batch may shard
 // internally over options.num_threads — sharding must not change any
@@ -53,9 +53,8 @@ using ScoreAllFn = std::function<StatusOr<std::vector<std::pair<FactId, Rational
     const AggregateQuery&, const Database&, const SolverOptions&)>;
 
 // Every engine is a batch. SolverSession::ComputeAll runs score_all when
-// set, else ScoreAllViaSumK (score.h) over sum_k; Compute (one fact) runs
-// ScoreViaSumK over sum_k when set, else score_all with the fact picked
-// out.
+// set, else ScoreAllViaSumK (score.h) over sum_k; Compute (one fact) reads
+// its row of ComputeAll, so no engine is ever asked for a single fact.
 struct EngineProvider {
   std::string name;
   // Preference order: lower priorities are tried first; ties keep

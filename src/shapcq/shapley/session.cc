@@ -5,7 +5,6 @@
 #include "shapcq/lineage/stats.h"
 #include "shapcq/obs/trace.h"
 #include "shapcq/shapley/brute_force.h"
-#include "shapcq/shapley/solver.h"
 #include "shapcq/util/check.h"
 
 namespace shapcq {
@@ -47,24 +46,6 @@ Status CheckAligned(const EngineProvider& engine,
   if (aligned) return Status::Ok();
   return InternalError("engine '" + engine.name +
                        "' returned a misaligned batch");
-}
-
-// One engine's per-fact score: the sum_k framework when the provider has a
-// series, else its batch with `fact` (live and endogenous) picked out.
-StatusOr<Rational> ScoreFactWith(const EngineProvider& engine,
-                                 const AggregateQuery& a, const Database& db,
-                                 FactId fact, const SolverOptions& options) {
-  if (engine.sum_k != nullptr) {
-    return ScoreViaSumK(a, db, fact, engine.sum_k, options);
-  }
-  StatusOr<std::vector<std::pair<FactId, Rational>>> batch =
-      engine.score_all(a, db, options);
-  if (!batch.ok()) return batch.status();
-  const std::vector<FactId> facts = db.EndogenousFacts();
-  Status aligned = CheckAligned(engine, *batch, facts);
-  if (!aligned.ok()) return aligned;
-  const auto at = std::lower_bound(facts.begin(), facts.end(), fact);
-  return std::move((*batch)[static_cast<size_t>(at - facts.begin())].second);
 }
 
 // The structured kExactOnly failure: names the player count, whether it is
@@ -115,25 +96,6 @@ SolverSession::SolverSession(std::shared_ptr<const AttributionPlan> plan,
 SolverSession::SolverSession(AggregateQuery a, const Database& db)
     : SolverSession(PlanCache::Global().GetOrCompile(a), db) {}
 
-StatusOr<SolveResult> SolverSession::ComputeExact(
-    FactId fact, const SolverOptions& options) const {
-  Status failure = UnsupportedError(kNoEngineMessage);
-  size_t engines_tried = 0;
-  for (const EngineProvider* engine : plan_->engines()) {
-    if (SolveCancelled(options)) {
-      return DeadlineStatus(engines_tried, plan_->engines().size());
-    }
-    ++engines_tried;
-    StatusOr<Rational> score =
-        ScoreFactWith(*engine, a(), db_, fact, options);
-    if (score.ok()) {
-      return ExactResult(std::move(score).value(), engine->name);
-    }
-    if (failure.message() == kNoEngineMessage) failure = score.status();
-  }
-  return failure;
-}
-
 StatusOr<SolveResult> SolverSession::Compute(FactId fact,
                                              const SolverOptions& options) {
   if (!plan_->status().ok()) return plan_->status();
@@ -145,39 +107,16 @@ StatusOr<SolveResult> SolverSession::Compute(FactId fact,
     return InvalidArgumentError("fact is exogenous: " +
                                 db_.fact(fact).ToString());
   }
-  switch (options.method) {
-    case SolveMethod::kExactOnly: {
-      StatusOr<SolveResult> exact = ComputeExact(fact, options);
-      if (exact.ok()) return exact;
-      return ExactUnavailableStatus(*plan_, db_.num_endogenous(),
-                                    exact.status());
-    }
-    case SolveMethod::kBruteForce: {
-      StatusOr<Rational> score =
-          BruteForceScore(a(), db_, fact, options.score, options);
-      if (!score.ok()) return score.status();
-      return ExactResult(std::move(score).value(), "brute-force");
-    }
-    case SolveMethod::kMonteCarlo: {
-      StatusOr<std::vector<MonteCarloResult>> all = SampleAll(options);
-      if (!all.ok()) return all.status();
-      const int player = monte_carlo_game_->PlayerIndex(fact);
-      return ApproximateResult((*all)[static_cast<size_t>(player)],
-                               "monte-carlo");
-    }
-    case SolveMethod::kAuto: {
-      StatusOr<SolveResult> exact = ComputeExact(fact, options);
-      if (exact.ok()) return exact;
-      // A deadline cancellation surfaces as-is: the caller decides whether
-      // to degrade to a bounded Monte Carlo run, and the brute-force
-      // fallback below is exactly the unbounded work the deadline forbids.
-      if (exact.status().code() == StatusCode::kDeadlineExceeded) {
-        return exact.status();
-      }
-      return Compute(fact, FallbackOptions(options));
-    }
-  }
-  SHAPCQ_UNREACHABLE();
+  StatusOr<std::vector<std::pair<FactId, SolveResult>>> all =
+      ComputeAll(options);
+  if (!all.ok()) return all.status();
+  // One row per endogenous fact, ascending by FactId: `fact` has one.
+  const auto row = std::lower_bound(
+      all->begin(), all->end(), fact,
+      [](const std::pair<FactId, SolveResult>& entry, FactId id) {
+        return entry.first < id;
+      });
+  return std::move(row->second);
 }
 
 SolverOptions SolverSession::FallbackOptions(
@@ -269,18 +208,13 @@ SolverSession::BruteForceAll(const SolverOptions& options) const {
   return results;
 }
 
-StatusOr<std::vector<MonteCarloResult>> SolverSession::SampleAll(
-    const SolverOptions& options) {
+StatusOr<std::vector<std::pair<FactId, SolveResult>>>
+SolverSession::MonteCarloAll(const SolverOptions& options) {
   if (monte_carlo_game_ == nullptr) {
     monte_carlo_game_ = std::make_unique<MonteCarloGame>(a(), db_);
   }
-  return monte_carlo_game_->Estimate(options.score, options.monte_carlo,
-                                     options.num_threads);
-}
-
-StatusOr<std::vector<std::pair<FactId, SolveResult>>>
-SolverSession::MonteCarloAll(const SolverOptions& options) {
-  StatusOr<std::vector<MonteCarloResult>> all = SampleAll(options);
+  StatusOr<std::vector<MonteCarloResult>> all = monte_carlo_game_->Estimate(
+      options.score, options.monte_carlo, options.num_threads);
   if (!all.ok()) return all.status();
   std::vector<FactId> facts = db_.EndogenousFacts();
   std::vector<std::pair<FactId, SolveResult>> results;

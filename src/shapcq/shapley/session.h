@@ -19,14 +19,11 @@
 // one brute-force sweep of the subset lattice, or one Monte Carlo run
 // (each sample walks one permutation or coalition).
 //
-// Equivalence contract: ComputeAll produces exactly the values and engine
-// labels of calling Compute per fact. Compute tries the same chain per
-// fact, through the engine's sum_k (ScoreViaSumK) when it has one and
-// otherwise through its batch with the fact picked out, so a batch-only
-// custom engine is reachable from both. Exact paths are bitwise-identical
-// (exact rational arithmetic; batching only reorders summations), and
-// every Monte Carlo path reads the same seeded block run, so even
-// estimates match.
+// Equivalence contract: Compute(fact) is fact's row of ComputeAll — the
+// same value, engine label, sampling telemetry and failure status — by
+// construction, since ComputeAll is the only code that scores facts. The
+// per-fact identity of Section 3.2 (ScoreViaSumK, score.h) stays the
+// reference the tests compare each engine's batch against.
 //
 // A session borrows the database: it must outlive the session, and facts
 // must not be added while the session is in use.
@@ -97,17 +94,17 @@ class SolverSession {
   // INVALID_ARGUMENT status (AttributionPlan::status) for an invalid
   // aggregate query, before any engine or the sampler runs.
   //
-  // Score of one live endogenous fact; any other id (tombstoned, exogenous
-  // or out of range) is INVALID_ARGUMENT. Under kExactOnly, total failure
+  // Score of one live endogenous fact: its row of ComputeAll(options), so
+  // it costs a whole batch. Any other id (tombstoned, exogenous or out of
+  // range) is INVALID_ARGUMENT.
+  StatusOr<SolveResult> Compute(FactId fact, const SolverOptions& options = {});
+
+  // Scores of all endogenous facts, ascending by FactId: one engine batch
+  // or one shared fallback for every fact. Under kExactOnly, total failure
   // returns a structured UNSUPPORTED status naming the player count (and
   // whether it exceeds the brute-force limit), the engines consulted, and
   // the first engine failure — so a query stranded outside every exact
-  // engine is diagnosable instead of a bare per-engine message.
-  StatusOr<SolveResult> Compute(FactId fact, const SolverOptions& options = {});
-
-  // Scores of all endogenous facts, ascending by FactId. The fast path:
-  // one engine batch or one shared fallback for every fact. kExactOnly
-  // failures carry the same structured status as Compute. When
+  // engine is diagnosable instead of a bare per-engine message. When
   // options.cancelled fires (a serving deadline), the call returns a
   // structured kDeadlineExceeded status instead of starting the next
   // engine or fallback phase — callers degrade to a bounded
@@ -123,10 +120,6 @@ class SolverSession {
  private:
   const AggregateQuery& a() const { return plan_->aggregate_query(); }
 
-  // The first engine of the chain that scores `fact`; otherwise the first
-  // genuine engine error, or the structured deadline status.
-  StatusOr<SolveResult> ComputeExact(FactId fact,
-                                     const SolverOptions& options) const;
   // The first engine batch of the chain that succeeds, labelling every
   // endogenous fact; otherwise the first genuine engine error, or the
   // structured deadline status.
@@ -137,14 +130,10 @@ class SolverSession {
   SolverOptions FallbackOptions(const SolverOptions& options) const;
   StatusOr<std::vector<std::pair<FactId, SolveResult>>> BruteForceAll(
       const SolverOptions& options) const;
-  StatusOr<std::vector<std::pair<FactId, SolveResult>>> MonteCarloAll(
-      const SolverOptions& options);
   // Every endogenous fact's estimate from one run of the session's
-  // MonteCarloGame (built on first use), aligned with
-  // Database::EndogenousFacts(). The run depends only on the score kind,
-  // seed and sample budget, so per-fact Compute and MonteCarloAll read the
-  // same estimates.
-  StatusOr<std::vector<MonteCarloResult>> SampleAll(
+  // MonteCarloGame (built on first use). The run depends only on the score
+  // kind, seed and sample budget, never on the thread count.
+  StatusOr<std::vector<std::pair<FactId, SolveResult>>> MonteCarloAll(
       const SolverOptions& options);
 
   std::shared_ptr<const AttributionPlan> plan_;

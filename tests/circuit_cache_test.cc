@@ -31,8 +31,8 @@ namespace {
 
 TEST(CanonicalizeClausesTest, InvariantUnderMonotoneRenaming) {
   // The same minimized formula under two monotone labellings: dense player
-  // indices and (shifted, sparse) FactIds — exactly the two labellings the
-  // batched and streaming extractors produce.
+  // indices and (shifted, sparse) FactIds — labellings over players and
+  // over a database's FactIds.
   std::vector<std::vector<int>> dense = {{0, 1}, {1, 2}, {0, 2}};
   std::vector<std::vector<int>> sparse = {{10, 17}, {17, 40}, {10, 40}};
   CanonicalClauseForm a = CanonicalizeClauses(dense);

@@ -303,6 +303,32 @@ TEST(DatabaseMutationTest, CompactionPreservesIdsAndContents) {
   EXPECT_EQ(db.FactsWith("R", 0, Value(3)).size(), 1u);
 }
 
+TEST(DatabaseMutationTest, SetEndogenousBumpsEpochOnlyOnARealFlip) {
+  // The endogenous partition is semantic state: flipping a flag bumps the
+  // epoch by exactly one, each way; re-asserting the current flag does not.
+  Database db;
+  db.AddEndogenous("R", {Value(1), Value(10)});
+  db.AddEndogenous("S", {Value(10)});
+  db.AddExogenous("S", {Value(12)});
+
+  uint64_t before = db.epoch();
+  db.SetEndogenous(0, false);
+  EXPECT_EQ(db.epoch(), before + 1);
+  EXPECT_FALSE(db.fact(0).endogenous);
+  EXPECT_EQ(db.num_endogenous(), 1);
+
+  before = db.epoch();
+  db.SetEndogenous(0, true);
+  EXPECT_EQ(db.epoch(), before + 1);
+  EXPECT_EQ(db.num_endogenous(), 2);
+
+  before = db.epoch();
+  db.SetEndogenous(0, true);
+  db.SetEndogenous(2, false);
+  EXPECT_EQ(db.epoch(), before);
+  EXPECT_EQ(db.num_endogenous(), 2);
+}
+
 TEST(ParseFactLineTest, MarkerIsOptionalAndDefaultsEndogenous) {
   auto endo = ParseFactLine("+R(1, 'a')");
   ASSERT_TRUE(endo.ok());

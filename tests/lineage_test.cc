@@ -208,8 +208,8 @@ void ExpectMatchesBruteForce(const AggregateQuery& a, const Database& db,
             << " threads " << threads << " fact " << (*brute)[i].first;
       }
     }
-    // The per-fact path (ScoreViaSumK over the engine's series, which
-    // per-fact Compute takes) agrees with the batch.
+    // The per-fact identity (ScoreViaSumK over the engine's series) agrees
+    // with the batch.
     auto batch = LineageCircuitScoreAll(a, db, Options(kind, 1));
     ASSERT_TRUE(batch.ok()) << label;
     for (const auto& [fact, score] : *batch) {
@@ -427,7 +427,7 @@ TEST(LineagePlanTest, EngineChainAndFingerprints) {
   auto plan = AttributionPlan::Compile(sum);
   // The chain holds the linearity DP first and the circuit engine as the
   // exact backstop; Explain surfaces it with both entry points: the batch
-  // (ComputeAll) and the series (per-fact Compute, ComputeSumKSeries).
+  // (ComputeAll) and the series (ComputeSumKSeries).
   bool found = false;
   for (const EngineProvider* engine : plan->engines()) {
     if (engine->name == "lineage-circuit") {

@@ -370,7 +370,7 @@ TEST(PlanCacheTest, WarmAndColdComputeAllAreBitwiseIdentical) {
         EXPECT_EQ((*warm)[i].second.algorithm, result.algorithm)
             << workload.label;
       }
-      // And both match the pre-plan reference: per-fact Compute.
+      // And per-fact Compute reads the same row.
       auto per_fact = cold_session.Compute(fact);
       ASSERT_TRUE(per_fact.ok()) << workload.label;
       EXPECT_EQ(per_fact->exact, result.exact) << workload.label;

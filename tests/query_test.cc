@@ -317,7 +317,7 @@ TEST(DecompositionTest, IsGround) {
 }
 
 // ---------------------------------------------------------------------------
-// AnswersTouching (the dirty-answer seed of the streaming path)
+// AnswersTouching (the daemon's dirty-answer count for a mutation)
 // ---------------------------------------------------------------------------
 
 // Reference: the distinct answers with at least one homomorphism using
@@ -368,8 +368,8 @@ TEST(AnswersTouchingTest, SelfJoinPinsEveryAtomOccurrence) {
 }
 
 TEST(AnswersTouchingTest, OneFactTouchesStrictlyFewerThanAllAnswers) {
-  // The streaming claim in one unit: with many disjoint answers, a single
-  // fact's dirty set must not sweep the whole answer space.
+  // With many disjoint answers, a single fact's dirty set must not sweep
+  // the whole answer space.
   Database db;
   for (int i = 0; i < 10; ++i) {
     db.AddEndogenous("R", {Value(i), Value(100 + i)});
@@ -381,6 +381,27 @@ TEST(AnswersTouchingTest, OneFactTouchesStrictlyFewerThanAllAnswers) {
   std::vector<Tuple> dirty = AnswersTouching(q, db, /*fact=*/0);
   EXPECT_EQ(dirty.size(), 1u);
   EXPECT_LT(dirty.size(), all);
+}
+
+TEST(AnswersTouchingTest, OneInsertDirtiesFewerThanAllAnswersWithAHub) {
+  // The daemon's dirty_answers for a 1-fact insert: n mostly-disjoint
+  // answers (x = i joins its private S value) plus a hub value every fourth
+  // R row also joins, so some answers carry two homomorphisms.
+  constexpr int n = 64;
+  Database db;
+  for (int i = 0; i < n; ++i) {
+    db.AddEndogenous("R", {Value(i), Value(1000 + i)});
+    db.AddEndogenous("S", {Value(1000 + i)});
+    if (i % 4 == 0) db.AddEndogenous("R", {Value(i), Value(2000)});
+  }
+  db.AddEndogenous("S", {Value(2000)});
+  ConjunctiveQuery q = MustParseQuery("Q(x) <- R(x, y), S(y)");
+  StatusOr<FactId> inserted =
+      db.InsertFact("R", {Value(n + 1), Value(1000 + (n + 1) % n)});
+  ASSERT_TRUE(inserted.ok()) << inserted.status().ToString();
+  std::vector<Tuple> dirty = AnswersTouching(q, db, *inserted);
+  EXPECT_FALSE(dirty.empty());
+  EXPECT_LT(dirty.size(), Evaluate(q, db).size());
 }
 
 }  // namespace

@@ -4,8 +4,10 @@
 // Two invariants are checked across randomized workloads from
 // workload/generators:
 //  1. ComputeAll (batched engines, shared fallbacks, thread pool) returns
-//     exactly the results of calling Compute per fact — bitwise-identical
-//     Rationals on exact paths, identical estimates on the sampling path.
+//     exactly the per-fact results of the engine each row names
+//     (tests/per_fact_reference.h) — bitwise-identical Rationals on exact
+//     paths, identical estimates on the sampling path — and Compute(fact)
+//     returns that row on every method.
 //  2. The indexed EnumerateHomomorphisms returns the same homomorphism set
 //     as the retained naive reference join.
 
@@ -31,6 +33,7 @@
 #include "shapcq/workload/generators.h"
 #include "shapcq/workload/random_query.h"
 #include "tests/naive_join.h"
+#include "tests/per_fact_reference.h"
 
 namespace shapcq {
 namespace {
@@ -108,7 +111,7 @@ TEST(IndexedJoinTest, FactsWithProbesTheRightFacts) {
 }
 
 // ---------------------------------------------------------------------------
-// ComputeAll vs. per-fact Compute
+// ComputeAll vs. the per-fact reference of each row's engine
 // ---------------------------------------------------------------------------
 
 struct AggCase {
@@ -140,7 +143,7 @@ void ExpectAllMatchesPerFact(const AggregateQuery& a, const Database& db,
   for (FactId fact : db.EndogenousFacts()) {
     const auto& [batch_fact, batch] = (*all)[i++];
     EXPECT_EQ(batch_fact, fact) << label;
-    auto single = solver.Compute(db, fact, options);
+    auto single = PerFactReference(a, db, fact, batch.algorithm, options);
     ASSERT_TRUE(single.ok()) << label << ": " << single.status().ToString();
     EXPECT_EQ(batch.is_exact, single->is_exact) << label << " fact " << fact;
     if (batch.is_exact && single->is_exact) {
@@ -456,6 +459,101 @@ TEST(SolverSessionTest, ExactOnlyFailureNamesPlayersAndEngines) {
   EXPECT_NE(one.status().message().find("engines consulted"),
             std::string::npos)
       << one.status().message();
+}
+
+// Compute(fact) on every endogenous fact of a fresh session equals fact's
+// row of ComputeAll in every field, or fails with ComputeAll's code and
+// message. Returns the engine label of the rows ("" on failure).
+std::string ExpectComputeIsItsRow(const AggregateQuery& a, const Database& db,
+                                  const SolverOptions& options,
+                                  const std::string& label) {
+  SolverSession batch_session(a, db);
+  auto all = batch_session.ComputeAll(options);
+  std::string engine;
+  for (FactId fact : db.EndogenousFacts()) {
+    SolverSession session(a, db);
+    auto one = session.Compute(fact, options);
+    EXPECT_EQ(one.ok(), all.ok()) << label << " fact " << fact;
+    if (!all.ok() || !one.ok()) {
+      EXPECT_EQ(one.status().code(), all.status().code()) << label;
+      EXPECT_EQ(one.status().message(), all.status().message()) << label;
+      continue;
+    }
+    const auto row = std::find_if(
+        all->begin(), all->end(),
+        [fact](const auto& entry) { return entry.first == fact; });
+    if (row == all->end()) {
+      ADD_FAILURE() << label << ": no row for fact " << fact;
+      continue;
+    }
+    const SolveResult& expected = row->second;
+    EXPECT_EQ(one->exact, expected.exact) << label << " fact " << fact;
+    EXPECT_EQ(one->algorithm, expected.algorithm) << label << " fact " << fact;
+    EXPECT_EQ(one->is_exact, expected.is_exact) << label << " fact " << fact;
+    EXPECT_EQ(one->approximation, expected.approximation)
+        << label << " fact " << fact;
+    EXPECT_EQ(one->std_error, expected.std_error) << label << " fact " << fact;
+    EXPECT_EQ(one->samples, expected.samples) << label << " fact " << fact;
+    engine = expected.algorithm;
+  }
+  return engine;
+}
+
+TEST(SolverSessionTest, ComputeIsItsRowOfComputeAllOnEveryMethod) {
+  ConjunctiveQuery q = MustParseQuery("Q(x) <- R(x, y), S(y)");
+  // Sum is served by its engine; Avg over this non-q-hierarchical query has
+  // no exact engine, so kAuto falls back to brute force on 7 players and
+  // to Monte Carlo on 35.
+  Database small;
+  for (int i = 0; i < 5; ++i) {
+    small.AddEndogenous("R", {Value(i), Value(i % 2)});
+  }
+  small.AddEndogenous("S", {Value(0)});
+  small.AddEndogenous("S", {Value(1)});
+  small.AddExogenous("R", {Value(9), Value(1)});
+  const Database large = ThirtyFivePlayerDb();
+  const AggregateQuery sum{q, MakeTauId(0), AggregateFunction::Sum()};
+  const AggregateQuery avg{q, MakeTauReLU(0), AggregateFunction::Avg()};
+  for (ScoreKind kind : {ScoreKind::kShapley, ScoreKind::kBanzhaf}) {
+    SolverOptions options;
+    options.score = kind;
+    options.monte_carlo.num_samples = 64;
+    const std::string score =
+        kind == ScoreKind::kShapley ? " shapley" : " banzhaf";
+
+    EXPECT_EQ(ExpectComputeIsItsRow(sum, small, options, "auto engine" + score),
+              "sum-count/linearity");
+    EXPECT_EQ(ExpectComputeIsItsRow(avg, small, options, "auto brute" + score),
+              "brute-force");
+    EXPECT_EQ(ExpectComputeIsItsRow(avg, large, options, "auto mc" + score),
+              "monte-carlo");
+
+    SolverOptions brute = options;
+    brute.method = SolveMethod::kBruteForce;
+    EXPECT_EQ(ExpectComputeIsItsRow(sum, small, brute, "brute" + score),
+              "brute-force");
+    SolverOptions mc = options;
+    mc.method = SolveMethod::kMonteCarlo;
+    EXPECT_EQ(ExpectComputeIsItsRow(sum, small, mc, "mc" + score),
+              "monte-carlo");
+    SolverOptions exact_only = options;
+    exact_only.method = SolveMethod::kExactOnly;
+    EXPECT_EQ(ExpectComputeIsItsRow(avg, large, exact_only, "exact" + score),
+              "");
+
+    // A hook that fires at its first poll: the deadline status, before any
+    // engine runs, under kAuto and kExactOnly alike.
+    SolverOptions cancelled = options;
+    cancelled.cancelled = [] { return true; };
+    for (SolveMethod method : {SolveMethod::kAuto, SolveMethod::kExactOnly}) {
+      cancelled.method = method;
+      EXPECT_EQ(
+          ExpectComputeIsItsRow(sum, small, cancelled, "cancel" + score), "");
+      SolverSession session(sum, small);
+      EXPECT_EQ(session.Compute(0, cancelled).status().code(),
+                StatusCode::kDeadlineExceeded);
+    }
+  }
 }
 
 TEST(SolverSessionTest, TauPastHeadArityIsInvalidForEveryMethod) {
